@@ -4,8 +4,8 @@
 # Usage: ci/check.sh [--fast]
 #
 #   (no flag)  full CI: hermeticity, format, lints, conformance, release
-#              build, workspace tests, bench smoke + perf gates, metrics
-#              smoke — what the release CI job runs.
+#              build, workspace and benchmark-package tests, bench smoke +
+#              perf gates, metrics smoke — what the release CI job runs.
 #   --fast     inner-loop subset: format, lints, conformance, and the debug
 #              workspace test suite (lock sanitizer armed). No release
 #              build, no benches; finishes in under two minutes warm.
@@ -80,6 +80,11 @@ fi
 #    this build rather than from whatever was in target/ already.
 run cargo build --workspace --release --offline
 run cargo test -q --offline
+
+# 6b. The benchmark package's own tests (replay-bench/, a separate package
+#     with path deps on the workspace crates): a change to a public seam the
+#     benchmark uses fails here rather than at the next benchmark run.
+run cargo test --release --offline --manifest-path replay-bench/Cargo.toml
 
 # 7. Perf smoke: every bench suite in --smoke mode, accumulating one
 #    JSON-Lines record per suite into BENCH_ci.json (the CI perf artifact),

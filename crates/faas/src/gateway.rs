@@ -27,7 +27,7 @@ use crate::apps::AppProfile;
 use crate::pipeline::{RequestTrace, GATEWAY_HOP, WATCHDOG_HOP};
 use crate::RuntimeProvider;
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
-use metrics_lite::{MetricsRegistry, Stage, StageSample};
+use metrics_lite::{MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -331,6 +331,10 @@ pub struct Gateway<P: RuntimeProvider> {
     stats: SharedStats,
     tracker: AppTracker,
     metrics: Arc<MetricsRegistry>,
+    /// Each function's `fn/` stage set, resolved on its first finished
+    /// request so `finish` neither formats the scope name nor takes the
+    /// registry's name-table lock.
+    fn_stages: HashMap<String, Arc<StageSet>>,
 }
 
 impl<P: RuntimeProvider> Gateway<P> {
@@ -358,6 +362,7 @@ impl<P: RuntimeProvider> Gateway<P> {
             stats: SharedStats::new(),
             tracker: AppTracker::new(),
             metrics,
+            fn_stages: HashMap::new(),
         }
     }
 
@@ -509,9 +514,12 @@ impl<P: RuntimeProvider> Gateway<P> {
         let trace = inflight.complete();
         // One stage-set record per request: `all`, `gateway/e2e`, and the
         // counters are derived from the `fn/` scopes at snapshot time.
-        self.metrics
-            .stage_set(&format!("fn/{}", inflight.function))
-            .record(&inflight.stage_sample());
+        let sample = inflight.stage_sample();
+        let metrics = &self.metrics;
+        self.fn_stages
+            .entry(inflight.function)
+            .or_insert_with_key(|f| metrics.stage_set(&format!("fn/{f}")))
+            .record(&sample);
         Ok(trace)
     }
 
@@ -700,6 +708,29 @@ mod tests {
                 .sum();
             assert_eq!(per_fn, expected_total);
         });
+    }
+
+    /// A function's `fn/` scope appears on its first finished request and
+    /// is reused after it; a registered function that never ran has none.
+    #[test]
+    fn fn_scope_created_on_first_finish_only() {
+        let mut gw = gateway(FixedKeepAlive::aws_default());
+        gw.register_app(AppProfile::qr_code(containersim::LanguageRuntime::Go));
+        let fn_scopes = |gw: &Gateway<FixedKeepAlive>| -> Vec<String> {
+            let snap = gw.metrics().snapshot();
+            snap.stages
+                .into_iter()
+                .map(|(scope, _)| scope)
+                .filter(|scope| scope.starts_with("fn/"))
+                .collect()
+        };
+        let inflight = gw.begin("random-number", SimTime::ZERO).unwrap();
+        assert!(fn_scopes(&gw).is_empty(), "begin records nothing");
+        gw.finish(inflight).unwrap();
+        gw.handle("random-number", SimTime::from_secs(10)).unwrap();
+        assert_eq!(fn_scopes(&gw), ["fn/random-number"]);
+        let snap = gw.metrics().snapshot();
+        assert_eq!(snap.stage_count("fn/random-number", Stage::Exec), 2);
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! Constant-memory latency histogram with logarithmic buckets.
+//! Log-bucketed latency histogram that stores only the buckets it has seen.
 //!
 //! [`LatencyRecorder`](crate::latency::LatencyRecorder) keeps raw samples —
 //! exact but O(n) memory. For long-running concurrent drivers (the
 //! contention benches, day-long trace replays) this HDR-style histogram
-//! records into fixed log-spaced buckets: ~2.4 % relative error, O(1) memory,
-//! O(1) record.
+//! records into fixed log-spaced buckets: ~2.4 % relative error, O(1)
+//! record. The bucket scale spans 1,312 buckets, but a histogram holds only
+//! the window between the lowest and highest bucket it has recorded or
+//! merged, so its memory is O(window), at most 1,312 counters, and an empty
+//! histogram holds none. Simulated stage latencies typically land in one or
+//! two buckets, which is what keeps a registry with thousands of per-function
+//! stage sets small.
 
 use simclock::SimDuration;
 
@@ -13,7 +18,11 @@ const SUB_BUCKETS: usize = 32;
 /// Number of powers of two covered (1 ns … ~2^40 ns ≈ 18 min).
 const OCTAVES: usize = 41;
 
-/// A log-bucketed latency histogram.
+/// A log-bucketed latency histogram over a sparse window of buckets.
+///
+/// Bucket `lo + i` is counted in `counts[i]`; the window starts empty and
+/// widens to cover each recorded or merged bucket, never past the 1,312
+/// buckets of the full scale.
 ///
 /// ```
 /// use metrics_lite::LatencyHistogram;
@@ -28,6 +37,8 @@ const OCTAVES: usize = 41;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// First bucket of the window (meaningless while `counts` is empty).
+    lo: usize,
     counts: Vec<u64>,
     total: u64,
     sum_ns: u128,
@@ -42,10 +53,11 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
+    /// An empty histogram; allocates nothing until the first sample.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; OCTAVES * SUB_BUCKETS],
+            lo: 0,
+            counts: Vec::new(),
             total: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -81,7 +93,15 @@ impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimDuration) {
         let ns = latency.as_nanos();
-        self.counts[Self::bucket_of(ns)] += 1;
+        let bucket = Self::bucket_of(ns);
+        // A bucket below `lo` wraps to an index past the window.
+        match self.counts.get_mut(bucket.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => {
+                self.widen(bucket, bucket + 1);
+                self.counts[bucket - self.lo] += 1;
+            }
+        }
         self.total += 1;
         self.sum_ns += u128::from(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -140,10 +160,10 @@ impl LatencyHistogram {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut cum = 0u64;
-        for (bucket, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= target {
-                let v = Self::bucket_value(bucket).clamp(self.min_ns, self.max_ns);
+                let v = Self::bucket_value(self.lo + i).clamp(self.min_ns, self.max_ns);
                 return SimDuration::from_nanos(v);
             }
         }
@@ -152,13 +172,32 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.widen(other.lo, other.lo + other.counts.len());
+            let at = other.lo - self.lo;
+            for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
         self.min_ns = self.min_ns.min(other.min_ns);
+    }
+
+    /// Widens the window to cover buckets `first..end`, zero-filling the
+    /// buckets it gains.
+    fn widen(&mut self, first: usize, end: usize) {
+        if self.counts.is_empty() {
+            self.lo = first;
+        } else if first < self.lo {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.lo - first));
+            self.lo = first;
+        }
+        if end - self.lo > self.counts.len() {
+            self.counts.resize(end - self.lo, 0);
+        }
     }
 }
 
@@ -291,5 +330,199 @@ mod tests {
                 assert!(h.quantile(w[0]) <= h.quantile(w[1]));
             }
         });
+    }
+
+    /// The dense layout this histogram replaced: every bucket of the scale
+    /// allocated up front. Kept as the reference the sparse window must
+    /// match sample for sample.
+    #[derive(Clone)]
+    struct DenseHistogram {
+        counts: Vec<u64>,
+        total: u64,
+        sum_ns: u128,
+        max_ns: u64,
+        min_ns: u64,
+    }
+
+    impl DenseHistogram {
+        fn new() -> Self {
+            DenseHistogram {
+                counts: vec![0; BUCKETS],
+                total: 0,
+                sum_ns: 0,
+                max_ns: 0,
+                min_ns: u64::MAX,
+            }
+        }
+
+        fn record(&mut self, ns: u64) {
+            self.counts[LatencyHistogram::bucket_of(ns)] += 1;
+            self.total += 1;
+            self.sum_ns += u128::from(ns);
+            self.max_ns = self.max_ns.max(ns);
+            self.min_ns = self.min_ns.min(ns);
+        }
+
+        fn merge(&mut self, other: &DenseHistogram) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.total += other.total;
+            self.sum_ns += other.sum_ns;
+            self.max_ns = self.max_ns.max(other.max_ns);
+            self.min_ns = self.min_ns.min(other.min_ns);
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+            let mut cum = 0u64;
+            for (bucket, &c) in self.counts.iter().enumerate() {
+                cum += c;
+                if cum >= target {
+                    return LatencyHistogram::bucket_value(bucket).clamp(self.min_ns, self.max_ns);
+                }
+            }
+            self.max_ns
+        }
+    }
+
+    const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
+    const QUANTILE_GRID: [f64; 9] = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+
+    /// Asserts `sparse` reports exactly what `dense` does, and that its
+    /// window is tight: empty when nothing was recorded, otherwise starting
+    /// and ending on a nonzero bucket, never wider than the scale.
+    fn assert_lockstep(sparse: &LatencyHistogram, dense: &DenseHistogram) {
+        assert_eq!(sparse.count(), dense.total);
+        assert_eq!(sparse.sum_ns(), dense.sum_ns);
+        assert_eq!(sparse.is_empty(), dense.total == 0);
+        if dense.total == 0 {
+            assert!(sparse.counts.is_empty(), "empty histogram holds buckets");
+            assert_eq!(sparse.min(), SimDuration::ZERO);
+            assert_eq!(sparse.max(), SimDuration::ZERO);
+            assert_eq!(sparse.mean(), SimDuration::ZERO);
+            return;
+        }
+        assert_eq!(sparse.min().as_nanos(), dense.min_ns);
+        assert_eq!(sparse.max().as_nanos(), dense.max_ns);
+        let mean = (dense.sum_ns / u128::from(dense.total)) as u64;
+        assert_eq!(sparse.mean().as_nanos(), mean);
+        for q in QUANTILE_GRID {
+            assert_eq!(sparse.quantile(q).as_nanos(), dense.quantile(q), "q={q}");
+        }
+        let window = &sparse.counts;
+        assert!(
+            window.len() <= BUCKETS,
+            "window of {} buckets",
+            window.len()
+        );
+        assert!(
+            window[0] > 0 && window[window.len() - 1] > 0,
+            "loose window"
+        );
+        assert_eq!(
+            window[..],
+            dense.counts[sparse.lo..sparse.lo + window.len()]
+        );
+    }
+
+    /// A sample around `center_octave`, or one of the edge values: 0 ns
+    /// and values past the last octave (clamped into the top bucket).
+    fn sample(g: &mut testkit::Gen, center_octave: u64) -> u64 {
+        match g.u64_in(0..10) {
+            0 => 0,
+            1 => (1 << 41) + g.u64_in(0..1 << 50),
+            _ => {
+                let octave = center_octave + g.u64_in(0..3);
+                (1 << octave) + g.u64_in(0..1 << octave)
+            }
+        }
+    }
+
+    /// The sparse and dense layouts, driven through the same random
+    /// record/merge/reset sequence, agree after every step. Histograms
+    /// center on different octaves, so merges meet disjoint, overlapping,
+    /// nested and empty windows in both directions.
+    #[test]
+    fn prop_sparse_window_matches_dense_reference() {
+        testkit::check(128, |g| {
+            let n = g.usize_in(2..5);
+            let centers: Vec<u64> = (0..n).map(|_| g.u64_in(0..40)).collect();
+            let mut sparse: Vec<LatencyHistogram> =
+                (0..n).map(|_| LatencyHistogram::new()).collect();
+            let mut dense: Vec<DenseHistogram> = (0..n).map(|_| DenseHistogram::new()).collect();
+            for _ in 0..g.usize_in(1..120) {
+                let i = g.usize_in(0..n);
+                match g.u64_in(0..10) {
+                    0..=5 => {
+                        let ns = sample(g, centers[i]);
+                        sparse[i].record(SimDuration::from_nanos(ns));
+                        dense[i].record(ns);
+                    }
+                    6..=8 => {
+                        let j = g.usize_in(0..n);
+                        let (s, d) = (sparse[j].clone(), dense[j].clone());
+                        sparse[i].merge(&s);
+                        dense[i].merge(&d);
+                    }
+                    _ => {
+                        sparse[i] = LatencyHistogram::new();
+                        dense[i] = DenseHistogram::new();
+                    }
+                }
+                assert_lockstep(&sparse[i], &dense[i]);
+            }
+            for (s, d) in sparse.iter().zip(&dense) {
+                assert_lockstep(s, d);
+            }
+        });
+    }
+
+    /// The memory property: buckets are held only for the recorded window.
+    #[test]
+    fn window_holds_only_recorded_buckets() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(h.counts.capacity(), 0, "a new histogram allocates");
+        for ns in [1540, 1545, 1550, 1567] {
+            h.record(SimDuration::from_nanos(ns));
+        }
+        assert_eq!(h.counts.len(), 1, "one bucket's samples hold one bucket");
+        h.record(SimDuration::ZERO);
+        h.record(SimDuration::from_nanos(u64::MAX));
+        assert_eq!(
+            h.counts.len(),
+            BUCKETS,
+            "the full scale is the widest window"
+        );
+    }
+
+    /// Disjoint windows merge in both directions, and empty histograms merge
+    /// into empty and full ones, exactly as the dense layout does.
+    #[test]
+    fn merges_of_disjoint_and_empty_windows_match_dense() {
+        let build = |values: &[u64]| {
+            let mut s = LatencyHistogram::new();
+            let mut d = DenseHistogram::new();
+            for &ns in values {
+                s.record(SimDuration::from_nanos(ns));
+                d.record(ns);
+            }
+            (s, d)
+        };
+        let low = build(&[3, 5, 7]);
+        let high = build(&[1 << 30, 3 << 30, 1 << 45]);
+        let empty = build(&[]);
+        for (into, from) in [
+            (&low, &high),
+            (&high, &low),
+            (&empty, &empty),
+            (&empty, &low),
+            (&high, &empty),
+        ] {
+            let (mut s, mut d) = into.clone();
+            s.merge(&from.0);
+            d.merge(&from.1);
+            assert_lockstep(&s, &d);
+        }
     }
 }
