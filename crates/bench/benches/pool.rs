@@ -108,11 +108,53 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
     );
 }
 
+fn bench_evict_oldest_at_scale(h: &mut Harness) {
+    // The flash-crowd shape under the 500-container cap: 10k tracked keys,
+    // 500 live containers, the oldest 250 held in use. Each iteration is
+    // one cold start plus the forced eviction it triggers, so the live
+    // population stays at 500.
+    let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut pool = ContainerPool::new(KeyPolicy::Exact);
+    let configs = configs(10_000);
+    for (i, config) in configs.iter().enumerate() {
+        pool.prewarm(&mut engine, config, SimTime::from_millis(i as u64))
+            .unwrap();
+    }
+    let now = SimTime::from_secs(100);
+    for config in &configs[500..] {
+        pool.retire_one(&mut engine, &pool.key_of(config), now)
+            .unwrap();
+    }
+    for config in &configs[..250] {
+        assert!(!pool.acquire(&mut engine, config, now).unwrap().cold);
+    }
+    assert_eq!(pool.total_live(), 500);
+    let mut now = now;
+    let mut i = 0usize;
+    let mut cold_start_then_evict = || {
+        i = (i + 7919) % configs.len();
+        now += SimDuration::from_millis(1);
+        pool.prewarm(&mut engine, &configs[i], now).unwrap();
+        assert!(pool.evict_oldest(&mut engine, now).unwrap().is_some());
+    };
+    // Turn the 250 idle containers over once before timing, so the window
+    // measures the steady state, not the one-off purge of the index entries
+    // the setup's retires and warm acquires left behind.
+    for _ in 0..500 {
+        cold_start_then_evict();
+    }
+    h.bench(
+        "evict_oldest/10k_keys_500_live_half_busy",
+        cold_start_then_evict,
+    );
+}
+
 fn main() {
     let mut h = Harness::new("pool");
     bench_key_canonicalization(&mut h);
     bench_acquire_release_reuse(&mut h);
     bench_acquire_many_types(&mut h);
     bench_cold_create_and_remove(&mut h);
+    bench_evict_oldest_at_scale(&mut h);
     h.finish();
 }

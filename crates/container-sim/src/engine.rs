@@ -647,17 +647,10 @@ impl ContainerEngine {
         self.containers.len()
     }
 
-    /// Ids of all live containers, oldest-created first (the eviction order
-    /// HotC uses: "the oldest live container is forcibly terminated").
-    pub fn live_ids_oldest_first(&self) -> Vec<ContainerId> {
-        let mut ids: Vec<_> = self
-            // lint:allow(map-iteration, sorted by (created_at, id) below, so hash order cannot reach the result)
-            .containers
-            .iter()
-            .map(|(&id, r)| (r.created_at, id))
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|(_, id)| id).collect()
+    /// Ids of all live containers, in no particular order.
+    pub fn live_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
+        // lint:allow(map-iteration, unordered by contract; callers collect into a set)
+        self.containers.keys().copied()
     }
 }
 
@@ -861,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn oldest_first_ordering() {
+    fn live_ids_track_creation_and_removal() {
         let mut e = engine();
         let (a, _) = e
             .create_container(cfg("alpine:3.12"), SimTime::from_secs(1))
@@ -869,10 +862,9 @@ mod tests {
         let (b, _) = e
             .create_container(cfg("alpine:3.12"), SimTime::from_secs(3))
             .unwrap();
-        let (c, _) = e
-            .create_container(cfg("alpine:3.12"), SimTime::from_secs(2))
-            .unwrap();
-        assert_eq!(e.live_ids_oldest_first(), vec![a, c, b]);
+        e.stop_and_remove(a, SimTime::from_secs(4)).unwrap();
+        assert_eq!(e.live_ids().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(e.created_at(b), Some(SimTime::from_secs(3)));
     }
 
     #[test]

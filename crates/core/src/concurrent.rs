@@ -601,9 +601,8 @@ impl ShardedGateway {
         let tracked = self.tracker.tracked();
         let live = self.engine.with_engine(|e| e.live_count());
         if tracked > live {
-            let live_ids: HashSet<ContainerId> = self
-                .engine
-                .with_engine(|e| e.live_ids_oldest_first().into_iter().collect());
+            let live_ids: HashSet<ContainerId> =
+                self.engine.with_engine(|e| e.live_ids().collect());
             self.tracker.prune_to(&live_ids);
         }
     }

@@ -167,9 +167,9 @@ mod tests {
         assert_eq!(pool.total_live(), 3);
         assert!(!limits.violated(&pool, &e));
         // The newest three survive (oldest evicted first).
-        let survivors = e.live_ids_oldest_first();
-        assert_eq!(survivors.len(), 3,);
-        assert!(e.created_at(survivors[0]).unwrap() >= SimTime::from_secs(3));
+        let mut born: Vec<SimTime> = e.live_ids().filter_map(|c| e.created_at(c)).collect();
+        born.sort_unstable();
+        assert_eq!(born, [3, 4, 5].map(SimTime::from_secs));
     }
 
     #[test]

@@ -370,9 +370,13 @@ mod tests {
 
         // Eviction removes the *oldest* (created at t=1 after the retire
         // popped the t=0 one from the FIFO front).
-        let ids = e.live_ids_oldest_first();
+        let oldest = pool
+            .sharded()
+            .oldest_available_scan(&ExclusiveEngine::new(&mut e))
+            .unwrap();
+        assert_eq!(e.created_at(oldest), Some(SimTime::from_secs(1)));
         pool.evict_oldest(&mut e, SimTime::from_secs(11)).unwrap();
-        assert_eq!(e.state(ids[0]), ContainerState::Removed);
+        assert_eq!(e.state(oldest), ContainerState::Removed);
         assert_eq!(pool.num_avail(&key), 1);
     }
 

@@ -25,11 +25,31 @@
 //!   container's packed entry and reverse-index mapping are stored *before*
 //!   its bitmap bit is set, and the bit-set is a release store — a claimer's
 //!   acquire-CAS therefore always observes a fully published slot.
-//! * global eviction is a **two-phase scan**: collect available candidates
-//!   shard by shard, pick the oldest via the engine, then re-lock the owning
-//!   shard, re-verify the entry, and claim the victim's `avail` bit
-//!   (retrying if a racing acquire took it first) — no operation ever takes
-//!   all shard locks at once.
+//! * global eviction is **indexed, then two-phase**: each shard keeps an
+//!   ordered set of per-key *heads* — a key's oldest available container
+//!   as `(created_at, container, key)` — plus a `container → created_at`
+//!   record of the containers it tracks, both mutated under the shard lock.
+//!   Phase one visits the shards one lock at a time and takes each one's
+//!   valid front; phase two re-locks the owner of the oldest, re-verifies
+//!   the entry, and claims the victim's `avail` bit (retrying if a racing
+//!   acquire took it first) — no operation ever takes all shard locks at
+//!   once.
+//! * **the index stays off the warm path.** A lock-free acquire that takes
+//!   a key's head leaves the entry stale; the evictor finds it at the front,
+//!   sees the container is no longer available, and re-derives that key. A
+//!   lock-free release makes a container available again, which may lower
+//!   the head, so it marks the key *eviction-dirty*: its in-use decrement
+//!   is one RMW that also counts a mark in the same word, and only the
+//!   first mark since the evictor's last drain sets the key's bit in the
+//!   shard's two-level [`MarkSet`]. The evictor drains those bits, clears
+//!   each key's mark count (`Acquire`), and only then reads its `avail`
+//!   bits: a release whose `Release` mark the clear reads is visible to
+//!   that read, and a release ordered after the clear finds zero marks and
+//!   marks the key again — so a racing release is never lost from the
+//!   index, only deferred to the next eviction. Locked paths that make a
+//!   container available (prewarm, overflow hand-back) lower the head
+//!   directly. The scan this replaces survives as the reference the
+//!   lockstep tests and debug builds hold every eviction to.
 //!
 //! The pool's bookkeeping invariants (enforced by the property tests):
 //!
@@ -50,10 +70,10 @@ use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, RuntimeKey, FUZZ
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use stdshim::atomic::{Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize};
-use stdshim::sync::{LazySlotTable, Mutex, SlotBitmap};
+use stdshim::sync::{LazySlotTable, MarkSet, Mutex, SlotBitmap};
 use stdshim::FastMap;
 
 /// Default shard count — enough to spread a handful of worker threads'
@@ -63,6 +83,11 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// Default number of consecutive zero-demand snapshots after which an empty
 /// slot is garbage collected.
 pub const DEFAULT_GC_INTERVALS: u32 = 3;
+
+/// The in-use count's half of [`KeySlots::in_use_word`]; the high half
+/// counts eviction-dirty marks, in units of [`MARK_ONE`].
+const IN_USE_MASK: u64 = u32::MAX as u64;
+const MARK_ONE: u64 = IN_USE_MASK + 1;
 
 /// Lock-free slot-array capacity per key. Containers beyond this population
 /// (or keys beyond the lock-free key table) spill into the shard-locked
@@ -85,6 +110,13 @@ const RINDEX_CHUNK: usize = 4096;
 pub trait EngineRef {
     /// Runs `f` with exclusive access to the engine.
     fn with_engine<R>(&self, f: impl FnOnce(&mut ContainerEngine) -> R) -> R;
+
+    /// Whether the caller owns the engine for the whole call, i.e. drives
+    /// the pool from one thread. Debug builds then hold every eviction to
+    /// the reference scan, which concurrent callers could race.
+    fn is_exclusive(&self) -> bool {
+        false
+    }
 }
 
 impl EngineRef for Mutex<ContainerEngine> {
@@ -111,6 +143,10 @@ impl<'a> ExclusiveEngine<'a> {
 impl EngineRef for ExclusiveEngine<'_> {
     fn with_engine<R>(&self, f: impl FnOnce(&mut ContainerEngine) -> R) -> R {
         f(&mut self.inner.borrow_mut())
+    }
+
+    fn is_exclusive(&self) -> bool {
+        true
     }
 }
 
@@ -154,12 +190,16 @@ struct KeySlots {
     /// Last application token executed per slot (0 = unknown/fresh); the
     /// gateway's lock-free replacement for its per-container app tracker.
     last_app: Box<[AtomicU64]>,
-    /// In-use containers of this key, bitmap + overflow, including releases
-    /// still in transit through their engine critical section. Decremented
-    /// only once the container is available again (or disposed), so the
-    /// demand watermark never under-reports a mid-release container.
-    in_use_total: AtomicUsize,
-    /// Peak `in_use_total` since the last demand snapshot — the
+    /// Two counters in one word. Low half ([`IN_USE_MASK`]): in-use
+    /// containers of this key, bitmap + overflow, including releases still
+    /// in transit through their engine critical section — decremented only
+    /// once the container is available again (or disposed), so the demand
+    /// watermark never under-reports a mid-release container. High half:
+    /// lock-free hand-backs since the evictor last took this key's marks
+    /// (see [`Self::hand_back`]), so marking the key eviction-dirty costs
+    /// the release no RMW beyond the decrement it already does.
+    in_use_word: AtomicU64,
+    /// Peak in-use count since the last demand snapshot — the
     /// `history[k][t]` series the adaptive controller feeds the predictor.
     watermark: AtomicUsize,
 }
@@ -185,7 +225,7 @@ impl KeySlots {
             avail: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-avail"),
             in_use: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-inuse"),
             last_app: (0..SLOTS_PER_KEY).map(|_| AtomicU64::new(0)).collect(),
-            in_use_total: AtomicUsize::new(0),
+            in_use_word: AtomicU64::new(0),
             watermark: AtomicUsize::new(0),
         }
     }
@@ -195,10 +235,39 @@ impl KeySlots {
         SLOTS_PER_KEY - self.free.count()
     }
 
+    /// In-use containers right now (the low half of `in_use_word`).
+    fn in_use(&self) -> usize {
+        (self.in_use_word.load(Ordering::Relaxed) & IN_USE_MASK) as usize
+    }
+
     /// Counts an acquisition into the demand bookkeeping.
     fn note_acquire(&self) {
-        let now = self.in_use_total.fetch_add(1, Ordering::Relaxed) + 1;
-        self.watermark.fetch_max(now, Ordering::Relaxed);
+        let now = (self.in_use_word.fetch_add(1, Ordering::Relaxed) + 1) & IN_USE_MASK;
+        self.watermark.fetch_max(now as usize, Ordering::Relaxed);
+    }
+
+    /// Counts an in-use container out of the demand bookkeeping without
+    /// making it available (disposal, or a hand-back under the shard lock).
+    fn note_settled(&self) {
+        self.in_use_word.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Clears the key's eviction-dirty marks. The evictor calls this under
+    /// the shard lock *before* reading `avail`: the `Acquire` pairs with the
+    /// `Release` mark of every hand-back it clears, so each of those
+    /// containers' `avail` bits is visible to the read that follows, and a
+    /// hand-back ordered after this clear sees zero marks and re-marks.
+    fn take_marks(&self) {
+        self.in_use_word.fetch_and(IN_USE_MASK, Ordering::Acquire);
+    }
+
+    /// Calls `f(slot, container)` for each available bitmap container.
+    fn for_each_avail(&self, mut f: impl FnMut(usize, ContainerId)) {
+        self.avail.for_each_set(|i| {
+            if let Some(c) = entry_container(self.entries[i].load(Ordering::Relaxed)) {
+                f(i, c);
+            }
+        });
     }
 
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
@@ -253,15 +322,24 @@ impl KeySlots {
         self.in_use.claim_at(i).then_some(i)
     }
 
-    /// Returns a claimed slot's container to the warm pool. Lock-free: the
-    /// entry store (now flagged as executed) happens before the `avail`
-    /// release-store, upholding publish-before-bit-set.
-    fn hand_back(&self, i: usize, container: ContainerId) {
+    /// Returns a claimed slot's container to the warm pool and marks the
+    /// key eviction-dirty. Lock-free: the entry store (now flagged as
+    /// executed) happens before the `avail` release-store, upholding
+    /// publish-before-bit-set; the in-use decrement then also counts one
+    /// mark (a single `Release` RMW, after the bit-set). Only the hand-back
+    /// that finds zero marks — the first since the evictor's last
+    /// [`Self::take_marks`] — also sets the key's bit in the shard's
+    /// [`MarkSet`] at `local`.
+    ///
+    /// Returns `false` when `local` is beyond the mark set: the caller must
+    /// then refresh the key's eviction head under the shard lock.
+    fn hand_back(&self, i: usize, container: ContainerId, marks: &MarkSet, local: usize) -> bool {
         // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
         self.entries[i].store(pack_entry(container, true), Ordering::Relaxed);
         let fresh = self.avail.release(i);
         debug_assert!(fresh, "hand-back found the avail bit already set");
-        self.in_use_total.fetch_sub(1, Ordering::Relaxed);
+        let before = self.in_use_word.fetch_add(MARK_ONE - 1, Ordering::Release);
+        before & !IN_USE_MASK != 0 || marks.mark(local)
     }
 
     /// Empties a slot index whose bits are already claimed by the caller.
@@ -319,6 +397,9 @@ struct Slot {
     /// A representative configuration for this key, kept so the controller
     /// can pre-warm by key alone.
     config: ContainerConfig,
+    /// This key's entry in the shard's eviction index, if any (see
+    /// [`ShardState::heads`]).
+    head: Option<Head>,
 }
 
 impl Slot {
@@ -331,6 +412,22 @@ impl Slot {
             active: false,
             cold_since: None,
             config,
+            head: None,
+        }
+    }
+
+    /// Whether `head`'s container still sits available in this key. Exact
+    /// under the shard lock, up to racing lock-free acquires.
+    fn holds_available(&self, head: Head) -> bool {
+        match head.slot {
+            Some(i) => {
+                entry_container(self.ks.entries[i].load(Ordering::Relaxed)) == Some(head.container)
+                    && self.ks.avail.is_set(i)
+            }
+            None => self
+                .overflow_avail
+                .iter()
+                .any(|&(c, _)| c == head.container),
         }
     }
 
@@ -346,6 +443,23 @@ impl Slot {
     /// Available containers right now (bitmap + overflow).
     fn avail_now(&self) -> usize {
         self.ks.avail.count() + self.overflow_avail.len()
+    }
+}
+
+/// A key's eviction head: its oldest available container, ordered by
+/// `(created_at, container)` exactly like the reference scan (container ids
+/// are unique, so `slot` never decides an ordering).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    at: SimTime,
+    container: ContainerId,
+    /// The container's bitmap slot index; `None` for an overflow container.
+    slot: Option<usize>,
+}
+
+impl Head {
+    fn entry(self, id: KeyId) -> (SimTime, ContainerId, KeyId) {
+        (self.at, self.container, id)
     }
 }
 
@@ -373,9 +487,76 @@ struct ShardState {
     /// releases do not change occupancy, so they never touch it. The
     /// full-sweep snapshot cross-checks it in debug builds.
     live: usize,
+    /// The eviction index: one `(created_at, container, key)` entry per
+    /// key with a [`Slot::head`]. An entry may be stale — its container
+    /// since claimed by a lock-free acquire, or disposed — but it is never
+    /// younger than its key's oldest available container unless the key is
+    /// marked eviction-dirty; the evictor re-derives dirty keys and stale
+    /// front entries, so the first valid front is the shard's oldest.
+    heads: BTreeSet<(SimTime, ContainerId, KeyId)>,
+    /// Creation time of every container this shard tracks (available or in
+    /// use): written at the two publish sites, removed at the four disposal
+    /// sites, read when a key's head is re-derived. O(live containers).
+    born: FastMap<ContainerId, SimTime>,
+    /// Index entries the evictor examined (test-only cost probe).
+    #[cfg(test)]
+    head_visits: usize,
 }
 
 impl ShardState {
+    /// Re-derives `id`'s eviction head from its `avail` bitmap and overflow
+    /// list and re-indexes it. O(available containers of the key).
+    fn refresh_head(&mut self, id: KeyId) {
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return;
+        };
+        if let Some(old) = slot.head.take() {
+            self.heads.remove(&old.entry(id));
+        }
+        let born = &self.born;
+        let mut best: Option<Head> = None;
+        let mut offer = |container, slot| {
+            if let Some(&at) = born.get(&container) {
+                let head = Head {
+                    at,
+                    container,
+                    slot,
+                };
+                if best.is_none_or(|b| head < b) {
+                    best = Some(head);
+                }
+            }
+        };
+        slot.ks.for_each_avail(|i, c| offer(c, Some(i)));
+        for &(c, _) in &slot.overflow_avail {
+            offer(c, None);
+        }
+        if let Some(head) = best {
+            self.heads.insert(head.entry(id));
+        }
+        slot.head = best;
+    }
+
+    /// Lowers `id`'s head to a container this thread just made available
+    /// under the shard lock (prewarm, overflow hand-back).
+    fn offer_head(&mut self, id: KeyId, container: ContainerId, at_slot: Option<usize>) {
+        let (Some(slot), Some(&at)) = (self.slots.get_mut(&id), self.born.get(&container)) else {
+            return;
+        };
+        let head = Head {
+            at,
+            container,
+            slot: at_slot,
+        };
+        if slot.head.is_some_and(|h| h <= head) {
+            return;
+        }
+        if let Some(old) = slot.head.replace(head) {
+            self.heads.remove(&old.entry(id));
+        }
+        self.heads.insert(head.entry(id));
+    }
+
     /// Flags `id` as touched this control interval (O(1) when already
     /// active) and cancels any pending cold-GC countdown.
     fn mark_active(&mut self, id: KeyId) {
@@ -487,6 +668,10 @@ enum SlowClaim {
 pub struct ShardedPool {
     policy: KeyPolicy,
     shards: Box<[Mutex<ShardState>]>,
+    /// Per shard, the keys marked eviction-dirty by lock-free hand-backs
+    /// since the evictor last drained that shard, indexed by the key's
+    /// position on its shard (`id / shards`).
+    marks: Box<[MarkSet]>,
     /// Interns configurations into dense [`KeyId`]s; the shard maps, the
     /// controller, and the gateway all key on the id, so the canonical key
     /// string is formatted once per distinct configuration.
@@ -527,11 +712,13 @@ impl ShardedPool {
     /// Creates a pool with an explicit shard count (at least 1).
     pub fn with_shards(policy: KeyPolicy, shards: usize) -> Self {
         let shards = shards.max(1);
+        let marked_keys = (KEY_TABLE_CHUNKS * KEY_TABLE_CHUNK).div_ceil(shards);
         ShardedPool {
             policy,
             shards: (0..shards)
                 .map(|_| Mutex::labeled(ShardState::default(), "pool/shard"))
                 .collect(),
+            marks: (0..shards).map(|_| MarkSet::new(marked_keys)).collect(),
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::new(KEY_TABLE_CHUNKS, KEY_TABLE_CHUNK),
             rindex: LazySlotTable::new(RINDEX_CHUNKS, RINDEX_CHUNK),
@@ -787,6 +974,7 @@ impl ShardedPool {
                 .entry(id)
                 .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
             let slot_idx = self.publish_in_use(slot, id, container);
+            guard.born.insert(container, now);
             guard.live += 1;
             guard.mark_active(id);
             slot_idx
@@ -844,8 +1032,15 @@ impl ShardedPool {
     }
 
     /// Publishes a just-created container into the available state
-    /// (prewarm). Shard lock held; publish-before-bit-set as above.
-    fn publish_avail(&self, slot: &mut Slot, id: KeyId, container: ContainerId, execed: bool) {
+    /// (prewarm), returning its bitmap slot index. Shard lock held;
+    /// publish-before-bit-set as above.
+    fn publish_avail(
+        &self,
+        slot: &mut Slot,
+        id: KeyId,
+        container: ContainerId,
+        execed: bool,
+    ) -> Option<usize> {
         let ks = &slot.ks;
         if let Some(i) = ks.free.claim() {
             // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
@@ -855,8 +1050,10 @@ impl ShardedPool {
             self.rindex_set(container, id, i);
             let fresh = ks.avail.release(i);
             debug_assert!(fresh, "published slot's avail bit was already set");
+            Some(i)
         } else {
             slot.overflow_avail.push_back((container, execed));
+            None
         }
     }
 
@@ -921,7 +1118,7 @@ impl ShardedPool {
                 if crashed {
                     self.dispose_claimed(claim, container);
                 } else {
-                    claim.ks.hand_back(claim.slot, container);
+                    self.hand_back(&claim, container);
                 }
                 Ok(cost)
             }
@@ -937,6 +1134,23 @@ impl ShardedPool {
         }
     }
 
+    /// Hands a claimed bitmap container back lock-free and marks its key
+    /// eviction-dirty. Keys beyond the shard's mark set re-derive their
+    /// head under the shard lock instead; clearing the marks first keeps
+    /// the next hand-back of such a key on this path too.
+    fn hand_back(&self, claim: &ClaimedSlot<'_>, container: ContainerId) {
+        let shard = self.shard_of(claim.id);
+        let local = claim.id.index() / self.shards.len();
+        if !claim
+            .ks
+            .hand_back(claim.slot, container, &self.marks[shard], local)
+        {
+            let mut guard = self.shards[shard].lock();
+            claim.ks.take_marks();
+            guard.refresh_head(claim.id);
+        }
+    }
+
     /// Disposes of a claimed bitmap container (crashed release, or evicted
     /// under the lock). Takes the shard lock: occupancy changes here.
     fn dispose_claimed(&self, claim: ClaimedSlot<'_>, container: ContainerId) {
@@ -947,8 +1161,9 @@ impl ShardedPool {
         );
         if guard.slots.contains_key(&claim.id) {
             claim.ks.dispose_idle(claim.slot);
-            claim.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
+            claim.ks.note_settled();
             self.rindex_clear(container);
+            guard.born.remove(&container);
             guard.live -= 1;
         }
         // A disposal is a touch: the controller must re-examine this key.
@@ -1042,11 +1257,13 @@ impl ShardedPool {
             match &result {
                 Ok(_) if !crashed => {
                     slot.overflow_avail.push_back((container, true));
-                    slot.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
+                    slot.ks.note_settled();
+                    guard.offer_head(id, container, None);
                 }
                 Ok(_) => {
-                    slot.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
+                    slot.ks.note_settled();
                     guard.live -= 1;
+                    guard.born.remove(&container);
                 }
                 Err(_) => {
                     // The engine rejected the hand-back; restore the claim
@@ -1150,7 +1367,9 @@ impl ShardedPool {
             .slots
             .entry(id)
             .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-        self.publish_avail(slot, id, container, false);
+        let at_slot = self.publish_avail(slot, id, container, false);
+        guard.born.insert(container, now);
+        guard.offer_head(id, container, at_slot);
         guard.live += 1;
         guard.mark_active(id);
         Ok(breakdown.total())
@@ -1216,6 +1435,7 @@ impl ShardedPool {
             });
             if let Some(container) = popped {
                 self.rindex_clear(container);
+                guard.born.remove(&container);
                 guard.live -= 1;
                 guard.mark_active(id);
             }
@@ -1245,12 +1465,14 @@ impl ShardedPool {
     /// Forcibly terminates the *oldest* available live container across all
     /// types (§IV-B's response to too many containers / memory pressure).
     ///
-    /// Two-phase: (1) scan shard by shard (one lock at a time) collecting
-    /// available candidates, pick the globally oldest via the engine;
-    /// (2) re-lock the owning shard, re-verify the slot entry still names
+    /// Two-phase: (1) shard by shard (one lock at a time), take the dirty
+    /// marks and re-derive those keys' heads, then validate the front of
+    /// the shard's eviction index; keep the oldest front across shards.
+    /// (2) Re-lock the owning shard, re-verify the slot entry still names
     /// the candidate, and claim its `avail` bit — if a racing acquire took
-    /// it in between, rescan. Returns the teardown cost, or `None` if the
-    /// pool holds no available container.
+    /// it in between, retry. Returns the teardown cost, or `None` if the
+    /// pool holds no available container. Cost: O(shards + keys released
+    /// since the last eviction + stale index entries), not O(tracked keys).
     pub fn evict_oldest(
         &self,
         engine: &impl EngineRef,
@@ -1260,45 +1482,34 @@ impl ShardedPool {
         // Bounded retries: each retry means a racing acquire claimed our
         // candidate, which is progress for the system as a whole.
         for _ in 0..8 {
-            let mut candidates: Vec<(KeyId, ContainerId, Option<usize>)> = Vec::new();
-            for shard in self.shards.iter() {
-                let state = shard.lock();
-                for (&key, slot) in &state.slots {
-                    slot.ks.avail.for_each_set(|i| {
-                        if let Some(c) = entry_container(slot.ks.entries[i].load(Ordering::Relaxed))
-                        {
-                            candidates.push((key, c, Some(i)));
-                        }
-                    });
-                    for &(c, _) in &slot.overflow_avail {
-                        candidates.push((key, c, None));
-                    }
-                }
-            }
-            if candidates.is_empty() {
+            let oldest = self
+                .shards
+                .iter()
+                .enumerate()
+                .filter_map(|(shard, lock)| self.shard_oldest(shard, &mut lock.lock()))
+                .min();
+            let Some((head, key)) = oldest else {
                 return Ok(None);
-            }
-            // Oldest first, ids as a deterministic tie-break. A candidate
-            // retired by a racing thread simply drops out (no created_at).
-            let oldest = engine.with_engine(|e| {
-                candidates
-                    .into_iter()
-                    .filter_map(|(key, c, at)| e.created_at(c).map(|t| (t, c, key, at)))
-                    .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-            });
-            let Some((_, container, key, at)) = oldest else {
-                continue;
             };
+            let container = head.container;
+            #[cfg(debug_assertions)]
+            if engine.is_exclusive() {
+                assert_eq!(
+                    self.oldest_available_scan(engine),
+                    Some(container),
+                    "eviction index diverged from the reference scan"
+                );
+            }
             let claimed = {
                 let mut guard = self.shard(key).lock();
-                let claimed = guard.slots.get_mut(&key).is_some_and(|slot| match at {
+                let claimed = guard.slots.get_mut(&key).is_some_and(|s| match head.slot {
                     Some(i) => {
                         // Entries are frozen while occupied, so candidate
                         // still present ⇔ entry still names it; the bit
                         // claim then races only lock-free acquirers.
-                        let entry = slot.ks.entries[i].load(Ordering::Relaxed);
-                        if entry_container(entry) == Some(container) && slot.ks.avail.claim_at(i) {
-                            slot.ks.dispose_idle(i);
+                        let entry = s.ks.entries[i].load(Ordering::Relaxed);
+                        if entry_container(entry) == Some(container) && s.ks.avail.claim_at(i) {
+                            s.ks.dispose_idle(i);
                             self.rindex_clear(container);
                             true
                         } else {
@@ -1306,12 +1517,15 @@ impl ShardedPool {
                         }
                     }
                     None => {
-                        let before = slot.overflow_avail.len();
-                        slot.overflow_avail.retain(|&(c, _)| c != container);
-                        slot.overflow_avail.len() != before
+                        let before = s.overflow_avail.len();
+                        s.overflow_avail.retain(|&(c, _)| c != container);
+                        s.overflow_avail.len() != before
                     }
                 });
                 if claimed {
+                    // The key's head is now stale; the next eviction
+                    // re-derives it when it reaches the front.
+                    guard.born.remove(&container);
                     guard.live -= 1;
                     // An eviction is a touch: the controller must re-examine
                     // this key at the next interval.
@@ -1326,6 +1540,77 @@ impl ShardedPool {
             }
         }
         Ok(None)
+    }
+
+    /// One shard's oldest available container (its lock held): takes the
+    /// shard's dirty marks and re-derives each marked key's head, then
+    /// pops stale index entries until the front is available. A key's marks
+    /// are cleared *before* its `avail` bits are read (see
+    /// [`KeySlots::take_marks`]), so a hand-back racing this drain is
+    /// either seen here or left marked for the next one.
+    fn shard_oldest(&self, shard: usize, state: &mut ShardState) -> Option<(Head, KeyId)> {
+        let shards = self.shards.len();
+        self.marks[shard].drain(|local| {
+            let id = KeyId::from_index((local * shards + shard) as u32);
+            // A GC'd key keeps its slot array in the key table; its marks
+            // must still be cleared, or its next hand-back would not mark.
+            match state.slots.get(&id) {
+                Some(slot) => slot.ks.take_marks(),
+                None => {
+                    if let Some(ks) = self.key_slots.get(id.index()) {
+                        ks.take_marks();
+                    }
+                }
+            }
+            state.refresh_head(id);
+        });
+        loop {
+            let &(at, container, id) = state.heads.first()?;
+            #[cfg(test)]
+            {
+                state.head_visits += 1;
+            }
+            let head = state
+                .slots
+                .get(&id)
+                .and_then(|s| Some((s.head?, s)))
+                .filter(|(h, _)| h.entry(id) == (at, container, id));
+            match head {
+                Some((head, slot)) if slot.holds_available(head) => return Some((head, id)),
+                // Stale: the container was acquired or disposed since.
+                Some(_) => state.refresh_head(id),
+                // Not its key's current head. Every path that replaces or
+                // drops a head also removes its entry, so this only keeps
+                // the loop finite should that ever break.
+                None => {
+                    state.heads.pop_first();
+                }
+            }
+        }
+    }
+
+    /// The reference the eviction index is held to (debug builds and the
+    /// lockstep tests): the oldest available container by `(created_at,
+    /// id)`, found by scanning every key's bitmap and overflow list and
+    /// asking the engine for each creation time. O(tracked keys +
+    /// available containers).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn oldest_available_scan(&self, engine: &impl EngineRef) -> Option<ContainerId> {
+        let mut candidates = Vec::new();
+        for shard in self.shards.iter() {
+            let state = shard.lock();
+            for slot in state.slots.values() {
+                slot.ks.for_each_avail(|_, c| candidates.push(c));
+                candidates.extend(slot.overflow_avail.iter().map(|&(c, _)| c));
+            }
+        }
+        engine.with_engine(|e| {
+            candidates
+                .into_iter()
+                .filter_map(|c| Some((e.created_at(c)?, c)))
+                .min()
+                .map(|(_, c)| c)
+        })
     }
 
     /// `num_avail[key]`: available containers of the given type.
@@ -1344,15 +1629,17 @@ impl ShardedPool {
             .lock()
             .slots
             .get(&id)
-            .map_or(0, |s| s.ks.in_use_total.load(Ordering::Relaxed))
+            .map_or(0, |s| s.ks.in_use())
     }
 
     /// `(available, in_use)` for a key id in one lock acquisition — the
     /// controller's per-key sizing read.
     pub fn live_of_id(&self, id: KeyId) -> (usize, usize) {
-        self.shard(id).lock().slots.get(&id).map_or((0, 0), |s| {
-            (s.avail_now(), s.ks.in_use_total.load(Ordering::Relaxed))
-        })
+        self.shard(id)
+            .lock()
+            .slots
+            .get(&id)
+            .map_or((0, 0), |s| (s.avail_now(), s.ks.in_use()))
     }
 
     /// [`Self::num_avail_id`] by canonical key (compatibility path).
@@ -1380,12 +1667,10 @@ impl ShardedPool {
             .iter()
             .map(|shard| {
                 let state = shard.lock();
-                state.slots.values().fold((0, 0), |(a, u), s| {
-                    (
-                        a + s.avail_now(),
-                        u + s.ks.in_use_total.load(Ordering::Relaxed),
-                    )
-                })
+                state
+                    .slots
+                    .values()
+                    .fold((0, 0), |(a, u), s| (a + s.avail_now(), u + s.ks.in_use()))
             })
             .collect()
     }
@@ -1453,10 +1738,11 @@ impl ShardedPool {
                 active,
                 cold,
                 live,
+                heads,
                 ..
             } = &mut *guard;
             slots.retain(|&id, slot| {
-                let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
+                let in_use = slot.ks.in_use();
                 let avail = slot.avail_now();
                 let demand = slot
                     .ks
@@ -1477,6 +1763,7 @@ impl ShardedPool {
                         }
                     };
                     if seq - since + 1 >= gc_after {
+                        unindex(heads, id, slot);
                         retired.push(id);
                         return false;
                     }
@@ -1507,7 +1794,7 @@ impl ShardedPool {
             // The retain above already GC'd everything due, so this only
             // discards stale queue entries; it keeps the queue bounded when
             // full sweeps and dirty snapshots interleave.
-            drain_due_cold(slots, cold, &mut retired, seq, gc_after);
+            drain_due_cold(slots, heads, cold, &mut retired, seq, gc_after);
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
@@ -1540,13 +1827,14 @@ impl ShardedPool {
                 slots,
                 active,
                 cold,
+                heads,
                 ..
             } = &mut *guard;
             for id in std::mem::take(active) {
                 let Some(slot) = slots.get_mut(&id) else {
                     continue;
                 };
-                let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
+                let in_use = slot.ks.in_use();
                 let avail = slot.avail_now();
                 let demand = slot
                     .ks
@@ -1562,7 +1850,9 @@ impl ShardedPool {
                     if gc_after <= 1 {
                         // The full sweep GCs a just-cold slot in this same
                         // snapshot without reporting it; match that.
-                        slots.remove(&id);
+                        if let Some(slot) = slots.remove(&id) {
+                            unindex(heads, id, &slot);
+                        }
                         retired.push(id);
                         continue;
                     }
@@ -1581,7 +1871,7 @@ impl ShardedPool {
                     in_use,
                 });
             }
-            drain_due_cold(slots, cold, &mut retired, seq, gc_after);
+            drain_due_cold(slots, heads, cold, &mut retired, seq, gc_after);
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
@@ -1619,6 +1909,13 @@ impl ShardedPool {
     }
 }
 
+/// Drops a GC'd slot's (necessarily stale) entry from the eviction index.
+fn unindex(heads: &mut BTreeSet<(SimTime, ContainerId, KeyId)>, id: KeyId, slot: &Slot) {
+    if let Some(head) = slot.head {
+        heads.remove(&head.entry(id));
+    }
+}
+
 /// Queues a newly-cold key for the idle sweep, unless it is due immediately
 /// (the caller GCs it in the same snapshot).
 fn queue_cold(cold: &mut VecDeque<(KeyId, u64)>, id: KeyId, seq: u64, gc_after: u64) {
@@ -1634,6 +1931,7 @@ fn queue_cold(cold: &mut VecDeque<(KeyId, u64)>, id: KeyId, seq: u64, gc_after: 
 /// at the first not-yet-due entry.
 fn drain_due_cold(
     slots: &mut FastMap<KeyId, Slot>,
+    heads: &mut BTreeSet<(SimTime, ContainerId, KeyId)>,
     cold: &mut VecDeque<(KeyId, u64)>,
     retired: &mut Vec<KeyId>,
     seq: u64,
@@ -1645,7 +1943,9 @@ fn drain_due_cold(
         }
         cold.pop_front();
         if slots.get(&id).is_some_and(|s| s.cold_since == Some(since)) {
-            slots.remove(&id);
+            if let Some(slot) = slots.remove(&id) {
+                unindex(heads, id, &slot);
+            }
             retired.push(id);
         }
     }
@@ -1656,24 +1956,30 @@ fn drain_due_cold(
 /// protocol suite runs against; see DESIGN.md §7.3).
 ///
 /// The lock-free operations (`claim_warm`, `hand_back`,
-/// `try_claim_release`) call the real `KeySlots` methods unmodified. The
-/// lock-holding operations (`publish_avail`, `retire_avail`, `evict_at`)
-/// replay the exact store sequences of [`ShardedPool::publish_avail`],
-/// [`ShardedPool::retire_one_id`], and [`ShardedPool::evict_oldest`]'s
-/// claim phase, minus the shard lock and reverse index — in the model the
+/// `try_claim_release`) call the real `KeySlots` methods unmodified; the
+/// key is index 0 of a one-key [`MarkSet`] standing in for its shard's.
+/// The lock-holding operations (`publish_avail`, `retire_avail`,
+/// `evict_at`, `drain_marks`) replay the exact store sequences of
+/// [`ShardedPool::publish_avail`], [`ShardedPool::retire_one_id`], and
+/// [`ShardedPool::evict_oldest`]'s claim and mark-drain phases, minus the
+/// shard lock and reverse index — in the model the
 /// lock's happens-before hand-off is reproduced by running every
 /// lock-holding op either before spawning the racers (spawn copies the
 /// parent's vector clock) or as the only lock-holder in the schedule, which
 /// is precisely the mutual exclusion the real lock provides.
 #[cfg(hotc_model)]
 pub mod model_api {
-    use super::{entry_container, pack_entry, KeySlots, Ordering, SLOTS_PER_KEY};
+    use super::{
+        entry_container, pack_entry, KeySlots, MarkSet, Ordering, IN_USE_MASK, MARK_ONE,
+        SLOTS_PER_KEY,
+    };
     use containersim::ContainerId;
 
     /// One key's slot-array protocol surface for model tests.
     #[derive(Debug)]
     pub struct ModelSlots {
         ks: KeySlots,
+        marks: MarkSet,
     }
 
     impl ModelSlots {
@@ -1687,7 +1993,10 @@ pub mod model_api {
             for i in 0..prefree {
                 ks.free.release(i);
             }
-            ModelSlots { ks }
+            ModelSlots {
+                ks,
+                marks: MarkSet::new(1),
+            }
         }
 
         /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
@@ -1695,9 +2004,48 @@ pub mod model_api {
             self.ks.claim_warm()
         }
 
-        /// Real lock-free hand-back ([`KeySlots::hand_back`]).
+        /// Real lock-free hand-back ([`KeySlots::hand_back`]), dirty mark
+        /// included.
         pub fn hand_back(&self, i: usize, container: ContainerId) {
-            self.ks.hand_back(i, container);
+            let marked = self.ks.hand_back(i, container, &self.marks, 0);
+            assert!(marked, "key 0 lies inside the one-key mark set");
+        }
+
+        /// [`Self::hand_back`] with the mark RMW split into a load and a
+        /// store — the mutation the harness must catch
+        /// (`hotc-model/tests/mutation.rs`): a drain that clears the marks
+        /// between the two is overwritten, and the hand-back, having loaded
+        /// a nonzero mark, never re-marks. Never a production sequence.
+        pub fn hand_back_split_mark(&self, i: usize, container: ContainerId) {
+            // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
+            self.ks.entries[i].store(pack_entry(container, true), Ordering::Relaxed);
+            let fresh = self.ks.avail.release(i);
+            debug_assert!(fresh, "hand-back found the avail bit already set");
+            let before = self.ks.in_use_word.load(Ordering::Relaxed);
+            self.ks
+                .in_use_word
+                .store(before + MARK_ONE - 1, Ordering::Release);
+            if before & !IN_USE_MASK == 0 {
+                self.marks.mark(0);
+            }
+        }
+
+        /// The mark-drain of [`super::ShardedPool::evict_oldest`]: take the
+        /// shard's marks and, for the marked key, clear its mark count
+        /// before reading its available containers. Returns the containers
+        /// the drain saw available (empty if the key was not marked).
+        pub fn drain_marks(&self) -> Vec<ContainerId> {
+            let mut seen = Vec::new();
+            self.marks.drain(|_| {
+                self.ks.take_marks();
+                self.ks.for_each_avail(|_, c| seen.push(c));
+            });
+            seen
+        }
+
+        /// Whether the key is still marked for the next drain.
+        pub fn is_marked(&self) -> bool {
+            self.marks.is_marked(0)
         }
 
         /// Real lock-free release claim ([`KeySlots::try_claim_release`]).
@@ -1779,7 +2127,7 @@ pub mod model_api {
 
         /// The key's in-use demand counter.
         pub fn in_use_total(&self) -> usize {
-            self.ks.in_use_total.load(Ordering::Relaxed)
+            self.ks.in_use()
         }
     }
 }
@@ -2001,12 +2349,152 @@ mod tests {
         for (i, c) in configs.iter().enumerate() {
             pool.prewarm(&e, c, SimTime::from_secs(i as u64)).unwrap();
         }
-        let oldest = e.with_engine(|e| e.live_ids_oldest_first()[0]);
+        let oldest = pool.oldest_available_scan(&e).unwrap();
+        assert_eq!(e.with_engine(|e| e.created_at(oldest)), Some(SimTime::ZERO));
         pool.evict_oldest(&e, SimTime::from_secs(10)).unwrap();
         assert_eq!(
             e.with_engine(|e| e.state(oldest)),
             containersim::ContainerState::Removed
         );
         assert_eq!(pool.total_available(), 2);
+    }
+
+    fn keyed(k: usize) -> ContainerConfig {
+        let mut c = cfg("alpine:3.12");
+        c.exec.env.insert("K".into(), k.to_string());
+        c
+    }
+
+    #[test]
+    fn eviction_index_picks_the_scans_victim_in_lockstep() {
+        // One pool, a seeded op mix, and before every eviction the
+        // reference scan names the victim the index must pick.
+        let work = ExecWork::light(SimDuration::from_millis(1));
+        let mut evictions = 0;
+        testkit::check(40, |g| {
+            let e = engine();
+            let shards = g.usize_in(1..4);
+            let mut pool = ShardedPool::with_shards(KeyPolicy::Exact, shards);
+            pool.set_gc_intervals(g.u32_in(1..3));
+            let configs: Vec<ContainerConfig> = (0..6).map(keyed).collect();
+            let mut busy: Vec<(KeyId, ContainerId)> = Vec::new();
+            for step in 0..g.u64_in(60..240) {
+                // Creation times out of order (as concurrent gateway threads
+                // publish them) and often tied (ids break the tie).
+                let now = SimTime::from_secs(step / 2 + g.u64_in(0..20));
+                let config = g.pick(&configs);
+                let id = pool.intern_config(config);
+                match g.u8_in(0..10) {
+                    0 => {
+                        pool.prewarm(&e, config, now).unwrap();
+                    }
+                    1 | 2 => {
+                        // Now and then a burst past the 128-slot bitmap, so
+                        // the key spills into its overflow lists.
+                        let n = if g.u8_in(0..8) == 0 { 140 } else { 1 };
+                        for _ in 0..n {
+                            let a = pool.acquire_detailed(&e, config, now).unwrap();
+                            e.with_engine(|e| e.begin_exec(a.container, work, now))
+                                .unwrap();
+                            busy.push((id, a.container));
+                        }
+                    }
+                    3 | 4 if !busy.is_empty() => {
+                        let (id, c) = busy.swap_remove(g.usize_in(0..busy.len()));
+                        let crashed = g.u8_in(0..5) == 0;
+                        if !crashed && g.bool() {
+                            e.with_engine(|e| e.end_exec(c, now)).unwrap();
+                            pool.release(&e, c, now).unwrap();
+                        } else {
+                            let done = pool.try_finish_release(&e, id, c, now, crashed);
+                            assert!(done.unwrap().is_some(), "held container released");
+                        }
+                    }
+                    5 => {
+                        pool.retire_one_id(&e, id, now).unwrap();
+                    }
+                    6 => {
+                        // A control tick: cold keys are GC'd here and
+                        // revived by later ops on the same key.
+                        for shard in 0..shards {
+                            if g.bool() {
+                                pool.take_shard_snapshot_dirty(shard);
+                            } else {
+                                pool.take_shard_snapshot(shard);
+                            }
+                        }
+                    }
+                    _ => {
+                        let expect = pool.oldest_available_scan(&e);
+                        let got = pool.evict_oldest(&e, now).unwrap();
+                        assert_eq!(got.is_some(), expect.is_some(), "step {step}");
+                        if let Some(victim) = expect {
+                            assert_eq!(
+                                e.with_engine(|e| e.state(victim)),
+                                containersim::ContainerState::Removed,
+                                "step {step}: the index evicted another container than the scan"
+                            );
+                            evictions += 1;
+                        }
+                    }
+                }
+                assert_eq!(pool.total_live(), e.with_engine(|e| e.live_count()));
+            }
+        });
+        assert!(evictions > 100, "only {evictions} evictions exercised");
+    }
+
+    #[test]
+    fn eviction_visits_o1_index_entries_while_old_containers_are_held() {
+        let e = engine();
+        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
+        let visits = |p: &ShardedPool| p.shards.iter().map(|s| s.lock().head_visits).sum::<usize>();
+        let held = 300;
+        // The oldest containers are all held in use: cold-started ones
+        // never enter the index ...
+        for k in 0..held {
+            let a = pool
+                .acquire_detailed(&e, &keyed(k), SimTime::from_secs(k as u64))
+                .unwrap();
+            assert!(a.cold);
+        }
+        for k in held..held + 8 {
+            pool.prewarm(&e, &keyed(k), SimTime::from_secs(k as u64))
+                .unwrap();
+        }
+        let before = visits(&pool);
+        assert!(pool
+            .evict_oldest(&e, SimTime::from_secs(999))
+            .unwrap()
+            .is_some());
+        assert!(
+            visits(&pool) - before <= pool.num_shards(),
+            "one eviction visited {} entries past {held} held containers",
+            visits(&pool) - before
+        );
+        // ... and pre-warmed ones taken warm leave stale heads, discarded
+        // once by the next eviction and never visited again.
+        for k in held + 8..2 * held {
+            // Older than every available container, so they reach the front.
+            let t = SimTime::from_millis(k as u64);
+            pool.prewarm(&e, &keyed(k), t).unwrap();
+            assert!(!pool.acquire_detailed(&e, &keyed(k), t).unwrap().cold);
+        }
+        assert!(pool
+            .evict_oldest(&e, SimTime::from_secs(999))
+            .unwrap()
+            .is_some());
+        for _ in 0..4 {
+            let before = visits(&pool);
+            assert!(pool
+                .evict_oldest(&e, SimTime::from_secs(999))
+                .unwrap()
+                .is_some());
+            assert!(
+                visits(&pool) - before <= pool.num_shards() + 1,
+                "one eviction visited {} entries",
+                visits(&pool) - before
+            );
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! | rule              | forbids                                              |
 //! |-------------------|------------------------------------------------------|
 //! | `wall-clock`      | `Instant::now` / `SystemTime::now` outside the bench |
-//! |                   | harness and tests (simulated time only)              |
+//! |                   | harness, `replay-bench/` and tests (simulated time   |
+//! |                   | only)                                                |
 //! | `raw-lock`        | `std::sync::Mutex` / `RwLock` outside `stdshim` (the |
 //! |                   | wrappers carry the lock-order sanitizer)             |
 //! | `map-iteration`   | iterating `HashMap`/`HashSet` bindings in the        |
@@ -319,6 +320,9 @@ pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let scaffolding = is_test_scaffolding(rel);
     let bench_crate = rel.starts_with("crates/bench/");
+    // The outside-in benchmark package times its own replays, like the
+    // bench harness; every other rule still applies to it.
+    let bench_timing = bench_crate || rel.starts_with("replay-bench/");
     let stdshim_crate = rel.starts_with("crates/stdshim/");
     let deterministic = DETERMINISTIC_CRATES.iter().any(|c| rel.starts_with(c));
     let map_idents = if deterministic {
@@ -334,7 +338,7 @@ pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
 
         // wall-clock: simulated time only — a real-clock read makes runs
         // unreproducible. Bench scaffolding measures real time by design.
-        if !bench_crate && !scaffolding && !in_test {
+        if !bench_timing && !scaffolding && !in_test {
             for pat in ["Instant::now", "SystemTime::now"] {
                 if find_word(code, pat).is_some() {
                     candidates.push((
@@ -640,6 +644,23 @@ mod tests {
         assert!(check_rust_file("crates/core/tests/t.rs", "Instant::now();\n").is_empty());
         let gated = "#[cfg(test)]\nmod tests {\n fn t() { let _ = Instant::now(); }\n}\n";
         assert!(check_rust_file("crates/core/src/x.rs", gated).is_empty());
+    }
+
+    #[test]
+    fn replay_bench_is_bench_scaffolding_for_wall_clock_only() {
+        let timed = "let t = Instant::now();
+";
+        assert!(check_rust_file("replay-bench/src/replay.rs", timed).is_empty());
+        // Only the wall-clock rule is relaxed there.
+        let v = check_rust_file(
+            "replay-bench/src/replay.rs",
+            "x.unwrap();
+",
+        );
+        assert_eq!(rules_of(&v), ["unwrap"]);
+        // A look-alike path elsewhere is still checked.
+        let v = check_rust_file("crates/core/src/replay-bench/x.rs", timed);
+        assert_eq!(rules_of(&v), ["wall-clock"]);
     }
 
     #[test]

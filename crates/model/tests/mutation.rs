@@ -7,6 +7,13 @@
 //! `debug_assert_ne!(entry, 0, "claimed an avail bit over an empty slot")`.
 //! If the checker ever stops finding that schedule, the memory model has
 //! silently gone strong and every clean protocol report is worthless.
+//!
+//! `ModelSlots::hand_back_split_mark` is the real hand-back with its mark
+//! RMW split into a load and a store. An eviction drain that clears the
+//! key's marks between the two is overwritten, the hand-back (having
+//! loaded a nonzero mark) never re-marks the key, and the drain — not
+//! synchronized with the hand-back — may read `avail` without its bit:
+//! an available container the eviction index never learns about.
 #![cfg(hotc_model)]
 
 use containersim::ContainerId;
@@ -68,5 +75,61 @@ fn release_publish_survives_the_same_race() {
         "real publish ordering is correct: {:?}",
         report.violation
     );
+    assert!(report.complete, "tree exhausted within budget");
+}
+
+/// The eviction-dirty race: a hand-back (avail bit-set, then the mark
+/// RMW) against the evictor's drain (take the mark set, clear the key's
+/// mark count, then read `avail`). The key starts marked by an earlier
+/// hand-back — the case where the racing hand-back must not re-mark.
+fn mark_race(split: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let s = Arc::new(ModelSlots::new(1));
+        s.publish_avail(C1, true).expect("free slot");
+        let (i, _, _) = s.claim_warm().expect("setup claim");
+        assert!(s.try_claim_release(i, C1));
+        s.hand_back(i, C1);
+        let (i, _, _) = s.claim_warm().expect("setup re-claim");
+        assert!(s.try_claim_release(i, C1));
+        let s2 = Arc::clone(&s);
+        let releaser = spawn(move || {
+            if split {
+                s2.hand_back_split_mark(i, C1);
+            } else {
+                s2.hand_back(i, C1);
+            }
+        });
+        let seen = s.drain_marks();
+        releaser.join();
+        assert!(s.avail_contains(C1), "handed-back container is available");
+        assert!(
+            seen.contains(&C1) || s.is_marked(),
+            "available container lost: the drain missed it and the key is unmarked"
+        );
+    }
+}
+
+#[test]
+fn split_mark_mutation_is_caught() {
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(mark_race(true));
+    let v = report
+        .violation
+        .expect("a load-then-store mark must lose a hand-back in some schedule");
+    assert!(
+        v.message.contains("available container lost"),
+        "{}",
+        v.message
+    );
+}
+
+#[test]
+fn mark_rmw_survives_the_same_race() {
+    // Control arm: the real hand-back must exhaust the tree clean.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(mark_race(false));
+    assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.complete, "tree exhausted within budget");
 }

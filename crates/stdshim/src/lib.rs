@@ -36,4 +36,4 @@ mod sync_slots;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use json::{JsonValue, ToJson};
-pub use sync::{request_path_scope, LazySlotTable, Mutex, RwLock, SlotBitmap};
+pub use sync::{request_path_scope, LazySlotTable, MarkSet, Mutex, RwLock, SlotBitmap};

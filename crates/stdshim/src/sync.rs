@@ -46,7 +46,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-pub use crate::sync_slots::{LazySlotTable, SlotBitmap};
+pub use crate::sync_slots::{LazySlotTable, MarkSet, SlotBitmap};
 
 #[cfg(debug_assertions)]
 use sanitizer::Tracked;

@@ -15,6 +15,9 @@
 //!   reads of densely indexed entries (per-key slot groups, per-container
 //!   reverse index) without locking, growing one chunk at a time on first
 //!   touch.
+//! * [`MarkSet`] — a two-level atomic dirty set: lock-free writers mark an
+//!   index, one lock-holding reader takes every mark, visiting only the
+//!   marked words (the pool's eviction-dirty keys).
 //!
 //! Like the lock wrappers in [`crate::sync`], a `SlotBitmap` carries a
 //! `&'static str` class label (convention: `"subsystem/role"`). The bitmap
@@ -183,6 +186,82 @@ impl SlotBitmap {
             while got != 0 {
                 f(w * 64 + got.trailing_zeros() as usize);
                 got &= got - 1;
+            }
+        }
+    }
+}
+
+/// A fixed-capacity two-level atomic dirty set over dense indices.
+///
+/// Writers [`mark`](Self::mark) an index with two `Release` `fetch_or`s:
+/// the leaf word's bit first, then the summary bit naming that leaf word.
+/// A single reader at a time (the caller serializes readers, e.g. under a
+/// lock) [`drain`](Self::drain)s the set: for each set summary bit it
+/// `Acquire`-swaps the summary word, then each named leaf word, to zero and
+/// visits the indices it took — O(marked words), not O(capacity).
+///
+/// No mark is lost: a mark whose leaf bit the drain's swap read is visited
+/// (and the swap's `Acquire` sees everything the marker wrote before its
+/// `Release` set); a mark the drain missed left its bits set for the next
+/// drain, because the marker sets the summary bit *after* the leaf bit and
+/// the drain swaps the summary *before* the leaves. A summary bit whose
+/// leaf word an earlier drain already emptied visits nothing.
+#[derive(Debug)]
+pub struct MarkSet {
+    summary: Box<[AtomicU64]>,
+    leaves: Box<[AtomicU64]>,
+    capacity: usize,
+}
+
+impl MarkSet {
+    /// An empty set over indices `0..capacity`.
+    pub fn new(capacity: usize) -> Self {
+        let leaves = capacity.div_ceil(64);
+        MarkSet {
+            summary: (0..leaves.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            leaves: (0..leaves).map(|_| AtomicU64::new(0)).collect(),
+            capacity,
+        }
+    }
+
+    /// Marks `index` (lock-free). Returns `false`, marking nothing, when
+    /// `index` is out of range — the caller's cue to use its locked path.
+    #[inline]
+    pub fn mark(&self, index: usize) -> bool {
+        if index >= self.capacity {
+            return false;
+        }
+        let leaf = index / 64;
+        self.leaves[leaf].fetch_or(1 << (index % 64), Ordering::Release);
+        self.summary[leaf / 64].fetch_or(1 << (leaf % 64), Ordering::Release);
+        true
+    }
+
+    /// Whether `index` is currently marked (`Acquire`; advisory).
+    pub fn is_marked(&self, index: usize) -> bool {
+        index < self.capacity
+            && self.leaves[index / 64].load(Ordering::Acquire) & (1 << (index % 64)) != 0
+    }
+
+    /// Takes every mark, calling `f` once per marked index (ascending).
+    /// Readers must be serialized by the caller; markers never block.
+    pub fn drain(&self, mut f: impl FnMut(usize)) {
+        for (s, word) in self.summary.iter().enumerate() {
+            // A stale zero only defers these marks to the next drain.
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut leaves = word.swap(0, Ordering::Acquire);
+            while leaves != 0 {
+                let leaf = s * 64 + leaves.trailing_zeros() as usize;
+                leaves &= leaves - 1;
+                let mut bits = self.leaves[leaf].swap(0, Ordering::Acquire);
+                while bits != 0 {
+                    f(leaf * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
             }
         }
     }
@@ -423,5 +502,50 @@ mod tests {
             }
         });
         assert_eq!(inits.load(Ordering::Relaxed), 128, "each entry inits once");
+    }
+
+    #[test]
+    fn mark_set_drains_each_mark_once() {
+        let m = MarkSet::new(5000);
+        let mut seen = Vec::new();
+        m.drain(|i| seen.push(i));
+        assert!(seen.is_empty(), "fresh set is empty");
+        for i in [4999usize, 0, 63, 64, 4095, 4096, 64] {
+            assert!(m.mark(i));
+        }
+        assert!(m.is_marked(4096) && !m.is_marked(1));
+        assert!(!m.mark(5000), "out of range is refused, not wrapped");
+        m.drain(|i| seen.push(i));
+        assert_eq!(seen, vec![0, 63, 64, 4095, 4096, 4999]);
+        seen.clear();
+        m.drain(|i| seen.push(i));
+        assert!(seen.is_empty(), "a drain takes every mark");
+        assert!(!m.is_marked(4096));
+    }
+
+    #[test]
+    fn mark_set_loses_no_concurrent_mark() {
+        // 4 markers race a draining reader; every index marked must be
+        // visited by some drain (the final one runs after the join).
+        let m = Arc::new(MarkSet::new(1024));
+        let mut seen = std::thread::scope(|s| {
+            for t in 0..4 {
+                let m = Arc::clone(&m);
+                s.spawn(move || {
+                    for i in (t..1024).step_by(4) {
+                        assert!(m.mark(i));
+                    }
+                });
+            }
+            let mut seen = Vec::new();
+            for _ in 0..50 {
+                m.drain(|i| seen.push(i));
+            }
+            seen
+        });
+        m.drain(|i| seen.push(i));
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen, (0..1024).collect::<Vec<_>>());
     }
 }
