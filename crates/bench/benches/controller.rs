@@ -8,6 +8,14 @@
 //! keys plus the due cold-GC deadlines, so its cost is independent of
 //! `types`. Each timed iteration drives one warm request round per hot key
 //! (identical in both modes) and then takes one controller step.
+//!
+//! The quiet-fleet points keep every key alive instead: `QUIET` keys each
+//! hold one idle container. Each interval the [`HOT`] keys see a request,
+//! and so do two quiet keys in rotation — the long tail of rarely invoked
+//! functions, each invoked often enough that its one container stays
+//! warm. A full sweep visits every key every interval; the dirty step
+//! parks the provably idle ones, so in steady state it visits the touched
+//! keys plus the parked keys whose deadline came due.
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
@@ -19,6 +27,13 @@ use stdshim::sync::Mutex;
 
 /// Hot keys per interval — the "active types" a dirty step is linear in.
 const HOT: usize = 10;
+
+/// Keys in the quiet fleet, each holding one idle container.
+const QUIET: usize = 500;
+
+/// Quiet keys touched per interval, in rotation: each sees a request every
+/// `QUIET / QUIET_TOUCHED` intervals.
+const QUIET_TOUCHED: usize = 2;
 
 fn configs(n: usize) -> Vec<ContainerConfig> {
     let images = [
@@ -64,11 +79,40 @@ fn fleet(types: usize) -> (Mutex<ContainerEngine>, ShardedPool, Vec<ContainerCon
     (engine, pool, hot)
 }
 
+/// One timed interval: a warm round trip on each key of `touched`, then
+/// one controller step.
+fn interval<'a>(
+    pool: &ShardedPool,
+    engine: &Mutex<ContainerEngine>,
+    ctl: &mut AdaptiveController,
+    touched: impl IntoIterator<Item = &'a ContainerConfig>,
+    full: bool,
+    tick: u64,
+) -> usize {
+    let now = SimTime::from_secs(30 * tick);
+    let work = ExecWork::light(SimDuration::from_millis(1));
+    for c in touched {
+        let acq = pool.acquire(engine, c, now).unwrap();
+        let end = engine.with_engine(|e| {
+            let out = e.begin_exec(acq.container, work, now).unwrap();
+            let end = now + out.latency;
+            e.end_exec(acq.container, end).unwrap();
+            end
+        });
+        pool.release(engine, acq.container, end).unwrap();
+    }
+    let report = if full {
+        ctl.step_sharded_full(pool, engine, now).unwrap()
+    } else {
+        ctl.step_sharded(pool, engine, now).unwrap()
+    };
+    report.demand.len()
+}
+
 fn bench_tick(h: &mut Harness, types: usize) {
     for full in [true, false] {
         let (engine, pool, hot) = fleet(types);
         let mut ctl = AdaptiveController::new(ControllerConfig::default());
-        let work = ExecWork::light(SimDuration::from_millis(1));
         let mut tick = 0u64;
         let name = format!(
             "{}_{}types",
@@ -77,25 +121,49 @@ fn bench_tick(h: &mut Harness, types: usize) {
         );
         h.bench(&name, || {
             tick += 1;
-            let now = SimTime::from_secs(30 * tick);
-            // Steady traffic on the hot keys: one warm round trip each.
-            for c in &hot {
-                let acq = pool.acquire(&engine, c, now).unwrap();
-                let end = engine.with_engine(|e| {
-                    let out = e.begin_exec(acq.container, work, now).unwrap();
-                    let end = now + out.latency;
-                    e.end_exec(acq.container, end).unwrap();
-                    end
-                });
-                pool.release(&engine, acq.container, end).unwrap();
-            }
-            let report = if full {
-                ctl.step_sharded_full(&pool, &engine, now).unwrap()
-            } else {
-                ctl.step_sharded(&pool, &engine, now).unwrap()
-            };
-            black_box(report.demand.len())
+            black_box(interval(&pool, &engine, &mut ctl, &hot, full, tick))
         });
+    }
+}
+
+fn bench_quiet(h: &mut Harness) {
+    for full in [true, false] {
+        let engine = Mutex::labeled(
+            ContainerEngine::with_local_images(HardwareProfile::server()),
+            "core/engine",
+        );
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let all = configs(QUIET);
+        let mut ctl = AdaptiveController::new(ControllerConfig::default());
+        // One request per key cold-starts its container; the next zero
+        // intervals seed every smoother (mean of the first five), so the
+        // timed loop starts with each quiet key sized to one container.
+        let mut tick = 1u64;
+        interval(&pool, &engine, &mut ctl, &all, full, tick);
+        for _ in 0..8 {
+            tick += 1;
+            interval(&pool, &engine, &mut ctl, &all[..HOT], full, tick);
+        }
+        let name = format!(
+            "{}_quiet_{QUIET}keys",
+            if full { "full_sweep" } else { "dirty" }
+        );
+        h.bench(&name, || {
+            tick += 1;
+            let from = HOT + (tick as usize * QUIET_TOUCHED) % (QUIET - HOT);
+            let quiet = all[HOT..]
+                .iter()
+                .cycle()
+                .skip(from - HOT)
+                .take(QUIET_TOUCHED);
+            let touched = all[..HOT].iter().chain(quiet);
+            black_box(interval(&pool, &engine, &mut ctl, touched, full, tick))
+        });
+        assert_eq!(
+            pool.total_live(),
+            QUIET,
+            "every quiet key kept its container"
+        );
     }
 }
 
@@ -103,5 +171,6 @@ fn main() {
     let mut h = Harness::new("controller_tick");
     bench_tick(&mut h, 100);
     bench_tick(&mut h, 1000);
+    bench_quiet(&mut h);
     h.finish();
 }

@@ -462,7 +462,12 @@ impl Scenario {
                             message: format!("bad seed '{value}'"),
                         })?
                     }
-                    "tick" => tick = parse_duration(value, line_no)?,
+                    "tick" => {
+                        tick = parse_duration(value, line_no)?;
+                        if tick.is_zero() {
+                            return err(line_no, "tick must be positive");
+                        }
+                    }
                     "crash_rate" => {
                         crash_rate = value.parse().map_err(|_| ParseError {
                             line: line_no,
@@ -613,12 +618,23 @@ impl Scenario {
             }
         }
 
+        // The synthesizer draws keys over a nonzero span: reject the values
+        // it cannot build from here, with their line, instead of at run time.
+        let line_of = |key: &str| get(key).map_or(pattern_line, |(_, l)| l);
         let synth_defaults =
             |kv_peak: f64| -> Result<(u64, usize, SimDuration, f64, f64), ParseError> {
+                let keys = get_usize("keys", 100)?;
+                if keys == 0 {
+                    return err(line_of("keys"), "keys must be at least 1");
+                }
+                let duration = get_duration("duration", SimDuration::from_mins(1440))?;
+                if duration.is_zero() {
+                    return err(line_of("duration"), "duration must be positive");
+                }
                 Ok((
                     get_u64("requests", 100_000)?,
-                    get_usize("keys", 100)?,
-                    get_duration("duration", SimDuration::from_mins(1440))?,
+                    keys,
+                    duration,
                     get_f64("zipf", 1.1)?,
                     get_f64("peak", kv_peak)?,
                 ))
@@ -668,20 +684,38 @@ impl Scenario {
                     round: get_duration("round", round_default)?,
                 }
             }
-            "poisson" => WorkloadSpec::Poisson {
-                rate: get_f64("rate", 2.0)?,
-                duration: get_duration("duration", SimDuration::from_secs(600))?,
-                zipf: get_f64("zipf", 1.1)?,
-            },
-            "youtube" => WorkloadSpec::Youtube {
-                scale: get_f64("scale", 10.0)?,
-                index: get_duration("index", SimDuration::from_secs(300))?,
-                length: get_usize("length", 288)?,
-            },
-            "azure" => WorkloadSpec::Azure {
-                functions: get_usize("functions", 20)?,
-                duration: get_duration("duration", SimDuration::from_mins(120))?,
-            },
+            "poisson" => {
+                let rate = get_f64("rate", 2.0)?;
+                if !(rate > 0.0 && rate.is_finite()) {
+                    return err(line_of("rate"), "rate must be positive and finite");
+                }
+                WorkloadSpec::Poisson {
+                    rate,
+                    duration: get_duration("duration", SimDuration::from_secs(600))?,
+                    zipf: get_f64("zipf", 1.1)?,
+                }
+            }
+            "youtube" => {
+                let length = get_usize("length", 288)?;
+                if length == 0 {
+                    return err(line_of("length"), "length must be at least 1");
+                }
+                WorkloadSpec::Youtube {
+                    scale: get_f64("scale", 10.0)?,
+                    index: get_duration("index", SimDuration::from_secs(300))?,
+                    length,
+                }
+            }
+            "azure" => {
+                let functions = get_usize("functions", 20)?;
+                if functions == 0 {
+                    return err(line_of("functions"), "functions must be at least 1");
+                }
+                WorkloadSpec::Azure {
+                    functions,
+                    duration: get_duration("duration", SimDuration::from_mins(120))?,
+                }
+            }
             "synth" => {
                 let flat = match get("shape") {
                     None | Some(("diurnal", _)) => false,
@@ -725,8 +759,12 @@ impl Scenario {
             }
             "multi-tenant" => {
                 let (requests, keys, duration, zipf, _) = synth_defaults(1.0)?;
+                let tenants = get_usize("tenants", 4)?;
+                if tenants == 0 {
+                    return err(line_of("tenants"), "tenants must be at least 1");
+                }
                 WorkloadSpec::MultiTenant {
-                    tenants: get_usize("tenants", 4)?,
+                    tenants,
                     requests,
                     keys,
                     duration,
@@ -986,6 +1024,40 @@ pattern = serial
         let text = "[function f]\napp = qr-code\nreplicas = 0\n\n[workload]\npattern = serial\n";
         let e = Scenario::parse(text).unwrap_err();
         assert!(e.message.contains("at least 1"), "{e}");
+    }
+
+    /// Values the trace generators or the replay loop would panic on are parse
+    /// errors located at their line, for every pattern that builds a
+    /// `SynthSpec` and for the other generators' counts and rates.
+    #[test]
+    fn unbuildable_values_are_located_parse_errors() {
+        let base = "[function f]\napp = random-number\n\n[workload]\n";
+        for pattern in ["synth", "flash-crowd", "deploy-waves", "multi-tenant"] {
+            for (line, want) in [
+                ("keys = 0", "keys must be at least 1"),
+                ("duration = 0m", "duration must be positive"),
+            ] {
+                let text = format!("{base}pattern = {pattern}\nrequests = 10\n{line}\n");
+                let e = Scenario::parse(&text).unwrap_err();
+                assert_eq!((e.line, e.message.as_str()), (7, want), "{pattern}: {line}");
+            }
+        }
+        for (pattern, line, want) in [
+            ("multi-tenant", "tenants = 0", "tenants must be at least 1"),
+            ("poisson", "rate = 0", "rate must be positive and finite"),
+            ("poisson", "rate = NaN", "rate must be positive and finite"),
+            ("poisson", "rate = inf", "rate must be positive and finite"),
+            ("azure", "functions = 0", "functions must be at least 1"),
+            ("youtube", "length = 0", "length must be at least 1"),
+        ] {
+            let text = format!("{base}pattern = {pattern}\n{line}\n");
+            let e = Scenario::parse(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (6, want), "{pattern}: {line}");
+        }
+
+        let text = format!("seed = 1\ntick = 0s\n\n{base}pattern = serial\n");
+        let e = Scenario::parse(&text).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "tick must be positive"));
     }
 
     #[test]

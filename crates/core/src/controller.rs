@@ -22,6 +22,17 @@
 //! reference path; a property test asserts the two produce identical
 //! prewarm/retire/GC actions on the same trace.
 //!
+//! The dirty step also **parks** keys whose next steps are provably no-ops:
+//! an idle key sized to one container (zero demand, one available, none in
+//! use, no headroom) whose predictor vouches that the next `k` zero
+//! observations keep its prediction in `(0, 1]`
+//! ([`EsMarkov::zero_run_bound`]) would be sized to exactly one container
+//! at each of those steps. The pool takes it off the active list for `k`
+//! snapshots ([`ShardedPool::park_keys`]) and wakes it early on any touch;
+//! the backfill above then feeds the zeros it skipped, so every decision
+//! and every prediction stays bit-identical to the full sweep, and a step
+//! costs O(keys that changed) rather than O(keys holding containers).
+//!
 //! Keys whose slots the pool garbage-collects (empty for several
 //! consecutive zero-demand intervals) have their predictors dropped in the
 //! same step, so the predictor map cannot grow without bound across
@@ -82,19 +93,23 @@ pub struct StepReport {
     pub retired: usize,
     /// Keys whose empty slots (and predictors) were garbage collected.
     pub gc_keys: usize,
+    /// Quiet keys this step parked: the next steps skip them (see
+    /// [`ShardedPool::park_keys`]).
+    pub parked: usize,
     /// Per-key `(predicted, actual)` demand for the interval, for the keys
-    /// the step visited (a dirty step omits cold keys, which contribute
-    /// zero to both totals).
+    /// the step visited. A dirty step omits cold keys, which contribute
+    /// zero to both totals, and parked keys, which contribute zero actual
+    /// demand and a prediction of at most 1 each.
     pub demand: Vec<(KeyId, f64, usize)>,
 }
 
 impl StepReport {
-    /// Total predicted demand across keys.
+    /// Total predicted demand across the stepped keys.
     pub fn predicted_total(&self) -> f64 {
         self.demand.iter().map(|&(_, p, _)| p).sum()
     }
 
-    /// Total actual demand across keys.
+    /// Total actual demand across the stepped keys.
     pub fn actual_total(&self) -> usize {
         self.demand.iter().map(|&(_, _, d)| d).sum()
     }
@@ -264,6 +279,7 @@ impl AdaptiveController {
                 }
             }
             report.gc_keys += snapshot.retired.len();
+            let mut quiet = Vec::new();
             for sample in snapshot.demands {
                 let (id, demand) = (sample.id, sample.demand);
                 let cfg = &self.config;
@@ -298,6 +314,20 @@ impl AdaptiveController {
                 let predicted = entry.model.predict() * (1.0 + self.config.headroom);
                 self.last_predictions.push((id, predicted));
                 report.demand.push((id, predicted, demand));
+                // The quiet rule: an idle key sized to one container whose
+                // next `runs` zero observations provably predict in (0, 1]
+                // would size itself to exactly one again for `runs`
+                // steps — skip those steps until something touches it.
+                let runs = if full
+                    || demand != 0
+                    || sample.avail != 1
+                    || sample.in_use != 0
+                    || self.config.headroom != 0.0
+                {
+                    0
+                } else {
+                    entry.model.zero_run_bound()
+                };
 
                 // Scale-down floor: never size below what the *last* interval
                 // actually needed — on a growing workload the smoother lags
@@ -312,6 +342,10 @@ impl AdaptiveController {
                 // dead key alive forever on the ceil()-ed tail of a decaying
                 // prediction.
                 if current == 0 && demand == 0 {
+                    continue;
+                }
+                if runs > 0 && target == current {
+                    quiet.push((id, runs));
                     continue;
                 }
                 if target > current {
@@ -343,6 +377,7 @@ impl AdaptiveController {
                     }
                 }
             }
+            report.parked += pool.park_keys(shard, snapshot.seq, &quiet);
         }
         report.demand.sort_unstable_by_key(|&(id, _, _)| id);
         self.last_predictions.sort_unstable_by_key(|&(id, _)| id);
@@ -355,7 +390,8 @@ mod tests {
     use super::*;
     use crate::key::KeyPolicy;
     use containersim::engine::ExecWork;
-    use containersim::{ContainerConfig, HardwareProfile, ImageId};
+    use containersim::{ContainerConfig, ContainerId, HardwareProfile, ImageId};
+    use predictor::ZERO_RUN_CAP;
 
     fn setup() -> (ContainerEngine, ContainerPool, AdaptiveController) {
         (
@@ -623,6 +659,235 @@ mod tests {
             }
             assert_eq!(cf.predictor_count(), cd.predictor_count());
         });
+    }
+
+    /// Counts of the parking situations the lockstep test drove, summed
+    /// over every case so the test can prove it was not vacuous.
+    #[derive(Default)]
+    struct Coverage {
+        parks: usize,
+        hits_on_parked: usize,
+        held_on_parked: usize,
+        evicted_parked: usize,
+        retired_parked: usize,
+        revived: usize,
+        long_quiet: usize,
+    }
+
+    /// One interval of the lockstep trace: ops on key `k` of a small
+    /// config set.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Acquire `n` containers and release them in the same interval.
+        Demand(usize, usize),
+        /// Acquire one container and hold it across the next tick.
+        Hold(usize),
+        Prewarm(usize),
+        Retire(usize),
+        Evict,
+    }
+
+    /// Runs `plan` on a parking stack (`step`) and a full-sweep stack
+    /// (`step_sharded_full`) in lockstep, asserting identical actions per
+    /// interval, a bit-identical prediction for every key the parking
+    /// stack steps, and identical final pools.
+    fn run_lockstep(plan: &[Vec<Op>], gc: u32, alpha: f64, headroom: f64, cov: &mut Coverage) {
+        let configs: Vec<ContainerConfig> = (0..4)
+            .map(|i| {
+                let mut c = cfg();
+                c.exec.env.insert("K".into(), i.to_string());
+                c
+            })
+            .collect();
+        let controller = || {
+            AdaptiveController::new(ControllerConfig {
+                alpha,
+                headroom,
+                ..Default::default()
+            })
+        };
+        let (mut ef, mut pf, _) = setup();
+        let (mut ep, mut pp, _) = setup();
+        let (mut cf, mut cp) = (controller(), controller());
+        pf.set_gc_intervals(gc);
+        pp.set_gc_intervals(gc);
+        let mut held: Vec<(ContainerId, ContainerId)> = Vec::new();
+        let mut quiet_run = 0;
+        for (t, ops) in plan.iter().enumerate() {
+            let now = SimTime::from_secs(t as u64 * 30);
+            let parked = pp.sharded().parked_keys();
+            let is_parked = |pool: &ContainerPool, c: &ContainerConfig| {
+                pool.sharded()
+                    .id_of(&pool.key_of(c))
+                    .is_some_and(|id| parked.contains(&id))
+            };
+            for (f, p) in std::mem::take(&mut held) {
+                pf.release(&mut ef, f, now).unwrap();
+                pp.release(&mut ep, p, now).unwrap();
+            }
+            quiet_run = if ops.is_empty() { quiet_run + 1 } else { 0 };
+            if quiet_run == ZERO_RUN_CAP as usize + 2 {
+                cov.long_quiet += 1;
+            }
+            for &op in ops {
+                match op {
+                    Op::Demand(k, n) => {
+                        let c = &configs[k];
+                        cov.hits_on_parked += usize::from(is_parked(&pp, c));
+                        let key = pp.key_of(c);
+                        if pp.sharded().id_of(&key).is_some() && !pp.keys().contains(&key) {
+                            cov.revived += 1;
+                        }
+                        drive_config_demand(&mut pf, &mut ef, c, n, now);
+                        drive_config_demand(&mut pp, &mut ep, c, n, now);
+                    }
+                    Op::Hold(k) => {
+                        let c = &configs[k];
+                        cov.held_on_parked += usize::from(is_parked(&pp, c));
+                        let af = pf.acquire(&mut ef, c, now).unwrap();
+                        let ap = pp.acquire(&mut ep, c, now).unwrap();
+                        let work = ExecWork::light(SimDuration::from_millis(5));
+                        ef.begin_exec(af.container, work, now).unwrap();
+                        ep.begin_exec(ap.container, work, now).unwrap();
+                        let end = now + SimDuration::from_secs(1);
+                        ef.end_exec(af.container, end).unwrap();
+                        ep.end_exec(ap.container, end).unwrap();
+                        held.push((af.container, ap.container));
+                    }
+                    Op::Prewarm(k) => {
+                        pf.prewarm(&mut ef, &configs[k], now).unwrap();
+                        pp.prewarm(&mut ep, &configs[k], now).unwrap();
+                    }
+                    Op::Retire(k) => {
+                        let c = &configs[k];
+                        cov.retired_parked += usize::from(is_parked(&pp, c));
+                        let rf = pf.retire_one(&mut ef, &pf.key_of(c), now).unwrap();
+                        let rp = pp.retire_one(&mut ep, &pp.key_of(c), now).unwrap();
+                        assert_eq!(rf.is_some(), rp.is_some(), "interval {t}: retire diverged");
+                    }
+                    Op::Evict => {
+                        let oldest = pp
+                            .sharded()
+                            .oldest_available_scan(&ExclusiveEngine::new(&mut ep));
+                        if let Some(victim) = oldest {
+                            let owner = ep.config(victim).cloned().unwrap();
+                            cov.evicted_parked += usize::from(is_parked(&pp, &owner));
+                        }
+                        let vf = pf.evict_oldest(&mut ef, now).unwrap();
+                        let vp = pp.evict_oldest(&mut ep, now).unwrap();
+                        assert_eq!(vf, vp, "interval {t}: eviction diverged");
+                    }
+                }
+            }
+            let rf = cf
+                .step_sharded_full(pf.sharded(), &ExclusiveEngine::new(&mut ef), now)
+                .unwrap();
+            let rp = cp.step(&mut pp, &mut ep, now).unwrap();
+            assert_eq!(rf.prewarmed, rp.prewarmed, "interval {t}: prewarm diverged");
+            assert_eq!(rf.retired, rp.retired, "interval {t}: retire diverged");
+            assert_eq!(rf.gc_keys, rp.gc_keys, "interval {t}: GC diverged");
+            for &(id, predicted, demand) in &rp.demand {
+                let reference = rf.demand.iter().find(|&&(k, _, _)| k == id);
+                assert_eq!(
+                    reference.map(|&(_, p, d)| (p.to_bits(), d)),
+                    Some((predicted.to_bits(), demand)),
+                    "interval {t}: key {id:?} predicted differently"
+                );
+            }
+            cov.parks += rp.parked;
+            for id in pp.sharded().parked_keys() {
+                let (avail, in_use) = pp.sharded().live_of_id(id);
+                assert_eq!(
+                    (avail, in_use),
+                    (1, 0),
+                    "interval {t}: parked {id:?} not idle at one"
+                );
+            }
+            if headroom != 0.0 {
+                assert_eq!(rp.parked, 0, "interval {t}: headroom forbids parking");
+            }
+        }
+        assert_eq!(pf.keys(), pp.keys(), "tracked key sets diverged");
+        for key in pf.keys() {
+            assert_eq!(pf.num_avail(&key), pp.num_avail(&key), "sizing of {key}");
+            assert_eq!(pf.num_in_use(&key), pp.num_in_use(&key));
+        }
+        assert_eq!(cf.predictor_count(), cp.predictor_count());
+        assert_eq!(ef.live_count(), ep.live_count());
+    }
+
+    /// A trace of quiet stretches (often longer than the parking horizon)
+    /// between short bursts of activity, mostly single-container demand so
+    /// keys qualify for parking, at least three horizons long.
+    fn lockstep_plan(g: &mut testkit::Gen) -> Vec<Vec<Op>> {
+        let horizon = ZERO_RUN_CAP as usize;
+        let len = g.usize_in(3 * horizon..4 * horizon);
+        let mut plan = Vec::with_capacity(len);
+        while plan.len() < len {
+            let quiet = if g.bool() {
+                g.usize_in(0..12)
+            } else {
+                g.usize_in(horizon..2 * horizon)
+            };
+            plan.extend(std::iter::repeat_n(Vec::new(), quiet));
+            for _ in 0..g.usize_in(1..4) {
+                plan.push(g.vec(0..4, |g| {
+                    let k = g.usize_in(0..4);
+                    match g.u8_in(0..10) {
+                        0..=3 => Op::Demand(k, 1),
+                        4 => Op::Demand(k, g.usize_in(2..4)),
+                        5 => Op::Hold(k),
+                        6 => Op::Prewarm(k),
+                        7 => Op::Retire(k),
+                        _ => Op::Evict,
+                    }
+                }));
+            }
+        }
+        plan.truncate(len);
+        plan
+    }
+
+    /// The parking equivalence: a controller that parks provably idle keys
+    /// takes exactly the full sweep's actions at every interval — through
+    /// quiet runs longer than the parking horizon, warm hits and held
+    /// acquisitions on parked keys, eviction and retirement of parked keys,
+    /// and GC and revival — and predicts bit-identically for every key it
+    /// steps. At α = 0.8 the trend outlives the cap, so the bound is the
+    /// cap; at α ≈ 1 a one-container trend underflows within the cap, so
+    /// the bound is tight and a late wake-up would miss a retire.
+    #[test]
+    fn prop_parking_step_matches_full_sweep() {
+        let mut cov = Coverage::default();
+        testkit::check(32, |g| {
+            let gc = g.u32_in(1..4);
+            let alpha = *g.pick(&[0.8, 0.999_999]);
+            let plan = lockstep_plan(g);
+            run_lockstep(&plan, gc, alpha, 0.0, &mut cov);
+        });
+        assert!(cov.parks > 0, "no key ever parked");
+        assert!(cov.long_quiet > 0, "no quiet run outlasted the horizon");
+        assert!(cov.hits_on_parked > 0, "no warm hit on a parked key");
+        assert!(
+            cov.held_on_parked > 0,
+            "no held acquisition of a parked key"
+        );
+        assert!(cov.evicted_parked > 0, "no parked key was evicted");
+        assert!(cov.retired_parked > 0, "no parked key was retired");
+        assert!(cov.revived > 0, "no GC'd key came back");
+    }
+
+    /// Headroom can push a prediction of at most 1 past one container, and
+    /// a key with two or more containers is never parked: with headroom on,
+    /// no key may park at all, and the lockstep still holds.
+    #[test]
+    fn prop_headroom_never_parks() {
+        let mut cov = Coverage::default();
+        testkit::check(8, |g| {
+            let plan = lockstep_plan(g);
+            run_lockstep(&plan, 3, 0.8, 0.5, &mut cov);
+        });
+        assert_eq!(cov.parks, 0);
     }
 
     #[test]

@@ -50,6 +50,15 @@
 //!   container available (prewarm, overflow hand-back) lower the head
 //!   directly. The scan this replaces survives as the reference the
 //!   lockstep tests and debug builds hold every eviction to.
+//! * **parking stays off the warm path too.** The controller may park a
+//!   provably idle key ([`ShardedPool::park_keys`]): it leaves the active
+//!   list and a per-shard deadline queue brings it back. Locked touches
+//!   un-park it on the spot. A lock-free warm acquire learns that the key
+//!   is parked from the in-use increment it already does (the flag lives
+//!   in the same word) and sets the key's bit in the shard's wake
+//!   [`MarkSet`], which the next dirty snapshot drains. Parking sets the
+//!   flag by CAS, expecting no container in use, and then re-checks the
+//!   demand watermark, so a racing acquire is either seen or woken.
 //!
 //! The pool's bookkeeping invariants (enforced by the property tests):
 //!
@@ -70,7 +79,8 @@ use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, RuntimeKey, FUZZ
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 use stdshim::atomic::{Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize};
 use stdshim::sync::{LazySlotTable, MarkSet, Mutex, SlotBitmap};
@@ -84,10 +94,16 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// slot is garbage collected.
 pub const DEFAULT_GC_INTERVALS: u32 = 3;
 
-/// The in-use count's half of [`KeySlots::in_use_word`]; the high half
-/// counts eviction-dirty marks, in units of [`MARK_ONE`].
-const IN_USE_MASK: u64 = u32::MAX as u64;
-const MARK_ONE: u64 = IN_USE_MASK + 1;
+/// The in-use count's bits of [`KeySlots::in_use_word`]. Bit 31 is the
+/// [`PARKED`] flag, and the high half counts eviction-dirty marks, in units
+/// of [`MARK_ONE`].
+const IN_USE_MASK: u64 = PARKED - 1;
+/// Set in [`KeySlots::in_use_word`] while the controller has parked the key
+/// (see [`ShardedPool::park_keys`]).
+const PARKED: u64 = 1 << 31;
+/// The in-use count plus [`PARKED`]: everything below the mark count.
+const LOW_HALF: u64 = u32::MAX as u64;
+const MARK_ONE: u64 = LOW_HALF + 1;
 
 /// Lock-free slot-array capacity per key. Containers beyond this population
 /// (or keys beyond the lock-free key table) spill into the shard-locked
@@ -190,14 +206,16 @@ struct KeySlots {
     /// Last application token executed per slot (0 = unknown/fresh); the
     /// gateway's lock-free replacement for its per-container app tracker.
     last_app: Box<[AtomicU64]>,
-    /// Two counters in one word. Low half ([`IN_USE_MASK`]): in-use
-    /// containers of this key, bitmap + overflow, including releases still
-    /// in transit through their engine critical section — decremented only
-    /// once the container is available again (or disposed), so the demand
-    /// watermark never under-reports a mid-release container. High half:
-    /// lock-free hand-backs since the evictor last took this key's marks
-    /// (see [`Self::hand_back`]), so marking the key eviction-dirty costs
-    /// the release no RMW beyond the decrement it already does.
+    /// Two counters and a flag in one word. Low 31 bits ([`IN_USE_MASK`]):
+    /// in-use containers of this key, bitmap + overflow, including releases
+    /// still in transit through their engine critical section — decremented
+    /// only once the container is available again (or disposed), so the
+    /// demand watermark never under-reports a mid-release container. Bit 31
+    /// ([`PARKED`]): the controller skips this key until it is touched, so
+    /// the acquire's increment doubles as the "am I parked?" read. High
+    /// half: lock-free hand-backs since the evictor last took this key's
+    /// marks (see [`Self::hand_back`]), so marking the key eviction-dirty
+    /// costs the release no RMW beyond the decrement it already does.
     in_use_word: AtomicU64,
     /// Peak in-use count since the last demand snapshot — the
     /// `history[k][t]` series the adaptive controller feeds the predictor.
@@ -240,10 +258,53 @@ impl KeySlots {
         (self.in_use_word.load(Ordering::Relaxed) & IN_USE_MASK) as usize
     }
 
-    /// Counts an acquisition into the demand bookkeeping.
-    fn note_acquire(&self) {
-        let now = (self.in_use_word.fetch_add(1, Ordering::Relaxed) + 1) & IN_USE_MASK;
+    /// Counts an acquisition into the demand bookkeeping. Returns whether
+    /// the key was parked — read off the increment itself, no extra atomic.
+    fn note_acquire(&self) -> bool {
+        let before = self.in_use_word.fetch_add(1, Ordering::Relaxed);
+        let now = (before + 1) & IN_USE_MASK;
         self.watermark.fetch_max(now as usize, Ordering::Relaxed);
+        before & PARKED != 0
+    }
+
+    /// Sets [`PARKED`] if the key is idle: a CAS expecting an in-use count
+    /// of zero, then a re-check that no acquisition raised the watermark
+    /// since the demand snapshot reset it. Shard lock held.
+    ///
+    /// A racing acquire is either seen or woken. One whose increment
+    /// precedes the CAS has either not been released (the CAS sees it in
+    /// use and fails) or been released by a `Release` hand-back the
+    /// `Acquire` CAS reads from, which makes its earlier watermark raise
+    /// visible to the re-check; one whose increment follows the CAS reads
+    /// the flag and wakes the key (see [`Self::claim_warm`]).
+    fn try_park(&self) -> bool {
+        let mut word = self.in_use_word.load(Ordering::Relaxed);
+        loop {
+            if word & (IN_USE_MASK | PARKED) != 0 {
+                return false;
+            }
+            match self.in_use_word.compare_exchange(
+                word,
+                word | PARKED,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                // Only mark counts can have moved with the count at zero.
+                Err(now) => word = now,
+            }
+        }
+        if self.watermark.load(Ordering::Relaxed) != 0 {
+            self.unpark();
+            return false;
+        }
+        true
+    }
+
+    /// Clears [`PARKED`]. Shard lock held.
+    fn unpark(&self) {
+        // lint:allow(atomic-ordering, the flag publishes nothing; it only decides whether an acquire sets a wake bit)
+        self.in_use_word.fetch_and(!PARKED, Ordering::Relaxed);
     }
 
     /// Counts an in-use container out of the demand bookkeeping without
@@ -258,7 +319,7 @@ impl KeySlots {
     /// containers' `avail` bits is visible to the read that follows, and a
     /// hand-back ordered after this clear sees zero marks and re-marks.
     fn take_marks(&self) {
-        self.in_use_word.fetch_and(IN_USE_MASK, Ordering::Acquire);
+        self.in_use_word.fetch_and(LOW_HALF, Ordering::Acquire);
     }
 
     /// Calls `f(slot, container)` for each available bitmap container.
@@ -272,8 +333,10 @@ impl KeySlots {
 
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
     /// take the `in_use` ownership token. Returns the slot index, container,
-    /// and whether it has executed before.
-    fn claim_warm(&self) -> Option<(usize, ContainerId, bool)> {
+    /// and whether it has executed before. A claim on a parked key sets the
+    /// key's bit at `local` in the shard's wake set, which the next dirty
+    /// snapshot drains; parking only admits keys inside the set.
+    fn claim_warm(&self, wakes: &MarkSet, local: usize) -> Option<(usize, ContainerId, bool)> {
         let i = self.avail.claim()?;
         // The claim's acquire CAS synchronizes with the publisher's release
         // bit-set, so the entry (stored before the bit) is fully visible.
@@ -281,7 +344,10 @@ impl KeySlots {
         debug_assert_ne!(entry, 0, "claimed an avail bit over an empty slot");
         let fresh = self.in_use.release(i);
         debug_assert!(fresh, "slot was avail and in_use at once");
-        self.note_acquire();
+        if self.note_acquire() {
+            let woke = wakes.mark(local);
+            debug_assert!(woke, "a parked key lies outside its wake set");
+        }
         Some((i, ContainerId(entry >> 1), entry & 1 == 1))
     }
 
@@ -339,7 +405,7 @@ impl KeySlots {
         let fresh = self.avail.release(i);
         debug_assert!(fresh, "hand-back found the avail bit already set");
         let before = self.in_use_word.fetch_add(MARK_ONE - 1, Ordering::Release);
-        before & !IN_USE_MASK != 0 || marks.mark(local)
+        before & !LOW_HALF != 0 || marks.mark(local)
     }
 
     /// Empties a slot index whose bits are already claimed by the caller.
@@ -387,9 +453,13 @@ struct Slot {
     /// Keeps the live population exact for the GC decision.
     overflow_transit: usize,
     /// Whether this key is on the shard's active list (touched since the
-    /// last snapshot, or still holding containers). The flag keeps the list
-    /// duplicate-free without a per-touch hash probe.
+    /// last snapshot, or still holding containers and not parked). The flag
+    /// keeps the list duplicate-free without a per-touch hash probe.
     active: bool,
+    /// The snapshot sequence number at which a parked key is due back on
+    /// the active list; `None` unless parked (see
+    /// [`ShardedPool::park_keys`]). Any touch un-parks it.
+    parked_until: Option<u64>,
     /// The snapshot sequence number at which this slot went empty with zero
     /// demand, if it is currently cold; the slot is GC'd once it stays cold
     /// for the pool's GC threshold. Any touch clears it.
@@ -410,6 +480,7 @@ impl Slot {
             overflow_in_use: Vec::new(),
             overflow_transit: 0,
             active: false,
+            parked_until: None,
             cold_since: None,
             config,
             head: None,
@@ -479,6 +550,10 @@ struct ShardState {
     /// exactly the entries whose deadline arrived. Entries are lazily
     /// invalidated by re-touches (the slot's `cold_since` moves on).
     cold: VecDeque<(KeyId, u64)>,
+    /// Parked keys' wake-up deadlines as `(due_seq, key)`, earliest first.
+    /// Entries are lazily invalidated: one counts only while its key's
+    /// [`Slot::parked_until`] still names its deadline.
+    parked: BinaryHeap<Reverse<(u64, KeyId)>>,
     /// Snapshot sequence number (one per demand snapshot of this shard).
     seq: u64,
     /// Containers currently tracked by this shard (available + in use),
@@ -558,14 +633,29 @@ impl ShardState {
     }
 
     /// Flags `id` as touched this control interval (O(1) when already
-    /// active) and cancels any pending cold-GC countdown.
+    /// active), un-parks it, and cancels any pending cold-GC countdown.
     fn mark_active(&mut self, id: KeyId) {
         if let Some(slot) = self.slots.get_mut(&id) {
             slot.cold_since = None;
+            if slot.parked_until.take().is_some() {
+                slot.ks.unpark();
+            }
             if !slot.active {
                 slot.active = true;
                 self.active.push(id);
             }
+        }
+    }
+
+    /// Puts `id` back on the active list if it is parked, and only then: a
+    /// stale wake bit must not reset a cold key's GC countdown.
+    fn wake(&mut self, id: KeyId) {
+        if self
+            .slots
+            .get(&id)
+            .is_some_and(|s| s.parked_until.is_some())
+        {
+            self.mark_active(id);
         }
     }
 }
@@ -601,6 +691,9 @@ pub struct ShardSnapshot {
     pub demands: Vec<KeyDemand>,
     /// Keys GC'd by this snapshot, sorted.
     pub retired: Vec<KeyId>,
+    /// The shard's snapshot sequence number; [`ShardedPool::park_keys`]
+    /// parks only against the latest snapshot.
+    pub seq: u64,
 }
 
 /// An acquisition with the pool-side detail the sharded gateway needs to
@@ -672,6 +765,9 @@ pub struct ShardedPool {
     /// since the evictor last drained that shard, indexed by the key's
     /// position on its shard (`id / shards`).
     marks: Box<[MarkSet]>,
+    /// Per shard, the parked keys a lock-free warm acquire touched since
+    /// the last snapshot, indexed like `marks`.
+    wakes: Box<[MarkSet]>,
     /// Interns configurations into dense [`KeyId`]s; the shard maps, the
     /// controller, and the gateway all key on the id, so the canonical key
     /// string is formatted once per distinct configuration.
@@ -719,6 +815,7 @@ impl ShardedPool {
                 .map(|_| Mutex::labeled(ShardState::default(), "pool/shard"))
                 .collect(),
             marks: (0..shards).map(|_| MarkSet::new(marked_keys)).collect(),
+            wakes: (0..shards).map(|_| MarkSet::new(marked_keys)).collect(),
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::new(KEY_TABLE_CHUNKS, KEY_TABLE_CHUNK),
             rindex: LazySlotTable::new(RINDEX_CHUNKS, RINDEX_CHUNK),
@@ -907,8 +1004,10 @@ impl ShardedPool {
         // sanitizer enforces both in debug builds.
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
+        let shard = self.shard_of(id);
+        let local = id.index() / self.shards.len();
         if let Some(ks) = self.key_slots.get(id.index()) {
-            if let Some((i, container, execed)) = ks.claim_warm() {
+            if let Some((i, container, execed)) = ks.claim_warm(&self.wakes[shard], local) {
                 let lock_free = self.policy != KeyPolicy::Fuzzy;
                 let cost = self.fuzzy_reuse_cost(engine, container, config);
                 // Exact keys never consult the engine on reuse, so the whole
@@ -933,21 +1032,28 @@ impl ShardedPool {
         // the check interns, and the interner's read lock would break the
         // warm hit's zero-lock guarantee in debug builds.
         debug_assert_eq!(id, self.intern_config(config));
-        let shard = self.shard(id);
+        let wakes = &self.wakes[shard];
+        let shard = &self.shards[shard];
         let warm = {
             let mut guard = shard.lock();
-            guard.slots.get_mut(&id).and_then(|slot| {
+            let warm = guard.slots.get_mut(&id).and_then(|slot| {
                 // Retry the bitmap under the lock — a racing release may
                 // have refilled it after the lock-free claim missed — then
                 // fall back to the overflow list.
-                if let Some((i, container, execed)) = slot.ks.claim_warm() {
+                if let Some((i, container, execed)) = slot.ks.claim_warm(wakes, local) {
                     return Some((Some(i), container, execed));
                 }
                 let (container, execed) = slot.overflow_avail.pop_front()?;
                 slot.ks.note_acquire();
                 slot.overflow_in_use.push(container);
                 Some((None, container, execed))
-            })
+            });
+            if warm.is_some() {
+                // A locked touch un-parks directly. A key holding a
+                // container is otherwise active already, so this is a no-op.
+                guard.mark_active(id);
+            }
+            warm
         };
         if let Some((slot_idx, container, execed)) = warm {
             let cost = self.fuzzy_reuse_cost(engine, container, config);
@@ -1724,24 +1830,31 @@ impl ShardedPool {
     /// This is the O(tracked keys) reference path; the controller's default
     /// is [`Self::take_shard_snapshot_dirty`], which visits only the active
     /// list and produces the same GC timing (asserted by a property test in
-    /// `controller.rs`).
+    /// `controller.rs`). The sweep un-parks every parked key.
     pub fn take_shard_snapshot(&self, shard: usize) -> ShardSnapshot {
         let mut demands = Vec::new();
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
+        let seq;
         {
             let mut guard = self.shards[shard].lock();
             guard.seq += 1;
-            let seq = guard.seq;
+            seq = guard.seq;
+            self.wakes[shard].drain(|_| {});
             let ShardState {
                 slots,
                 active,
                 cold,
+                parked,
                 live,
                 heads,
                 ..
             } = &mut *guard;
+            parked.clear();
             slots.retain(|&id, slot| {
+                if slot.parked_until.take().is_some() {
+                    slot.ks.unpark();
+                }
                 let in_use = slot.ks.in_use();
                 let avail = slot.avail_now();
                 let demand = slot
@@ -1798,7 +1911,11 @@ impl ShardedPool {
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
-        ShardSnapshot { demands, retired }
+        ShardSnapshot {
+            demands,
+            retired,
+            seq,
+        }
     }
 
     /// Takes one shard's **dirty-set** demand snapshot: visits only the keys
@@ -1813,16 +1930,36 @@ impl ShardedPool {
     /// backfills the skipped zero observations from the snapshot sequence
     /// gap, so predictor state matches the full sweep exactly. Lock-free
     /// warm hits keep the dirty set honest for free: a key serving warm
-    /// traffic holds containers, and any key holding containers is already
-    /// on the active list.
+    /// traffic holds containers, and any key holding containers is on the
+    /// active list unless parked ([`Self::park_keys`]). A parked key rejoins
+    /// the list when its deadline arrives or when a warm acquire has set
+    /// its wake bit; every locked touch un-parks it on the spot.
     pub fn take_shard_snapshot_dirty(&self, shard: usize) -> ShardSnapshot {
         let mut demands = Vec::new();
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
+        let seq;
         {
             let mut guard = self.shards[shard].lock();
             guard.seq += 1;
-            let seq = guard.seq;
+            seq = guard.seq;
+            let shards = self.shards.len();
+            self.wakes[shard].drain(|local| {
+                guard.wake(KeyId::from_index((local * shards + shard) as u32));
+            });
+            while let Some(&Reverse((due, id))) = guard.parked.peek() {
+                if due > seq {
+                    break;
+                }
+                guard.parked.pop();
+                if guard
+                    .slots
+                    .get(&id)
+                    .is_some_and(|s| s.parked_until == Some(due))
+                {
+                    guard.mark_active(id);
+                }
+            }
             let ShardState {
                 slots,
                 active,
@@ -1875,7 +2012,82 @@ impl ShardedPool {
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
-        ShardSnapshot { demands, retired }
+        ShardSnapshot {
+            demands,
+            retired,
+            seq,
+        }
+    }
+
+    /// Parks quiet keys of `shard` after its dirty snapshot `seq`: each
+    /// `(key, runs)` leaves the active list, skips the next `runs`
+    /// snapshots, and rejoins at snapshot `seq + runs + 1`. The caller
+    /// vouches that those snapshots would find the key's decision a no-op
+    /// as long as nothing touches it; the pool makes sure that anything
+    /// that does touch it wakes it first.
+    ///
+    /// A key parks only if it still holds exactly one container, none in
+    /// use (CAS on the in-use word, then a watermark re-check — see
+    /// [`KeySlots::try_park`]), it sits in the lock-free key table (so a
+    /// warm acquire can reach its wake bit), and `seq` is still the shard's
+    /// latest snapshot. Returns how many keys parked.
+    pub fn park_keys(&self, shard: usize, seq: u64, keys: &[(KeyId, u64)]) -> usize {
+        if keys.is_empty() {
+            return 0;
+        }
+        let mut guard = self.shards[shard].lock();
+        if guard.seq != seq {
+            return 0;
+        }
+        let ShardState {
+            slots,
+            active,
+            parked,
+            ..
+        } = &mut *guard;
+        let mut count = 0;
+        for &(id, runs) in keys {
+            debug_assert_eq!(self.shard_of(id), shard, "key parked on a foreign shard");
+            let Some(slot) = slots.get_mut(&id) else {
+                continue;
+            };
+            if !slot.active
+                || slot.live_now() != 1
+                || id.index() >= self.key_slots.capacity()
+                || !slot.ks.try_park()
+            {
+                continue;
+            }
+            let due = seq + runs + 1;
+            slot.parked_until = Some(due);
+            slot.active = false;
+            parked.push(Reverse((due, id)));
+            count += 1;
+        }
+        if count > 0 {
+            active.retain(|id| slots.get(id).is_none_or(|s| s.parked_until.is_none()));
+        }
+        count
+    }
+
+    /// Keys currently parked, sorted (test probe).
+    #[cfg(test)]
+    pub(crate) fn parked_keys(&self) -> Vec<KeyId> {
+        let mut ids: Vec<KeyId> = self
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                let state = shard.lock();
+                state
+                    .slots
+                    .iter()
+                    .filter(|(_, s)| s.parked_until.is_some())
+                    .map(|(&id, _)| id)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Takes the demand snapshot across every shard (full sweep, GC
@@ -1956,13 +2168,14 @@ fn drain_due_cold(
 /// protocol suite runs against; see DESIGN.md §7.3).
 ///
 /// The lock-free operations (`claim_warm`, `hand_back`,
-/// `try_claim_release`) call the real `KeySlots` methods unmodified; the
-/// key is index 0 of a one-key [`MarkSet`] standing in for its shard's.
-/// The lock-holding operations (`publish_avail`, `retire_avail`,
-/// `evict_at`, `drain_marks`) replay the exact store sequences of
-/// [`ShardedPool::publish_avail`], [`ShardedPool::retire_one_id`], and
-/// [`ShardedPool::evict_oldest`]'s claim and mark-drain phases, minus the
-/// shard lock and reverse index — in the model the
+/// `try_claim_release`) and the park CAS (`park`) call the real `KeySlots`
+/// methods unmodified; the key is index 0 of one-key [`MarkSet`]s standing
+/// in for its shard's mark and wake sets. The lock-holding operations
+/// (`publish_avail`, `retire_avail`, `evict_at`, `drain_marks`) replay the
+/// exact store sequences of [`ShardedPool::publish_avail`],
+/// [`ShardedPool::retire_one_id`], and [`ShardedPool::evict_oldest`]'s
+/// claim and mark-drain phases, minus the shard lock and reverse index — in
+/// the model the
 /// lock's happens-before hand-off is reproduced by running every
 /// lock-holding op either before spawning the racers (spawn copies the
 /// parent's vector clock) or as the only lock-holder in the schedule, which
@@ -1970,7 +2183,7 @@ fn drain_due_cold(
 #[cfg(hotc_model)]
 pub mod model_api {
     use super::{
-        entry_container, pack_entry, KeySlots, MarkSet, Ordering, IN_USE_MASK, MARK_ONE,
+        entry_container, pack_entry, KeySlots, MarkSet, Ordering, LOW_HALF, MARK_ONE, PARKED,
         SLOTS_PER_KEY,
     };
     use containersim::ContainerId;
@@ -1980,6 +2193,7 @@ pub mod model_api {
     pub struct ModelSlots {
         ks: KeySlots,
         marks: MarkSet,
+        wakes: MarkSet,
     }
 
     impl ModelSlots {
@@ -1996,12 +2210,43 @@ pub mod model_api {
             ModelSlots {
                 ks,
                 marks: MarkSet::new(1),
+                wakes: MarkSet::new(1),
             }
         }
 
-        /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
+        /// Real lock-free warm claim ([`KeySlots::claim_warm`]), wake mark
+        /// included.
         pub fn claim_warm(&self) -> Option<(usize, ContainerId, bool)> {
-            self.ks.claim_warm()
+            self.ks.claim_warm(&self.wakes, 0)
+        }
+
+        /// Real park of an idle key ([`KeySlots::try_park`]): the CAS that
+        /// sets the flag, then the watermark re-check.
+        pub fn park(&self) -> bool {
+            self.ks.try_park()
+        }
+
+        /// [`Self::park`] with the CAS split into a load and a store — the
+        /// mutation the harness must catch (`hotc-model/tests/mutation.rs`):
+        /// an acquire whose increment lands between the two is overwritten
+        /// and never reads the flag, so nothing wakes the key. Never a
+        /// production sequence.
+        pub fn park_split(&self) -> bool {
+            let word = self.ks.in_use_word.load(Ordering::Relaxed);
+            if word & LOW_HALF != 0 {
+                return false;
+            }
+            self.ks.in_use_word.store(word | PARKED, Ordering::Release);
+            if self.ks.watermark.load(Ordering::Relaxed) != 0 {
+                self.ks.unpark();
+                return false;
+            }
+            true
+        }
+
+        /// Whether a warm claim has set the key's wake bit.
+        pub fn is_woken(&self) -> bool {
+            self.wakes.is_marked(0)
         }
 
         /// Real lock-free hand-back ([`KeySlots::hand_back`]), dirty mark
@@ -2025,7 +2270,7 @@ pub mod model_api {
             self.ks
                 .in_use_word
                 .store(before + MARK_ONE - 1, Ordering::Release);
-            if before & !IN_USE_MASK == 0 {
+            if before & !LOW_HALF == 0 {
                 self.marks.mark(0);
             }
         }

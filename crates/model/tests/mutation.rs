@@ -14,6 +14,12 @@
 //! loaded a nonzero mark) never re-marks the key, and the drain — not
 //! synchronized with the hand-back — may read `avail` without its bit:
 //! an available container the eviction index never learns about.
+//!
+//! `ModelSlots::park_split` is the real park with its CAS split into a
+//! load and a store. A warm acquire whose increment lands between the two
+//! reads no flag and sets no wake bit, and the store overwrites its
+//! increment: the key stays parked through an acquisition the controller
+//! never sees.
 #![cfg(hotc_model)]
 
 use containersim::ContainerId;
@@ -130,6 +136,55 @@ fn mark_rmw_survives_the_same_race() {
     let report = Checker::new()
         .preemption_bound(2)
         .try_check(mark_race(false));
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(report.complete, "tree exhausted within budget");
+}
+
+/// The park race: the controller parks an idle key (one available
+/// container, in-use count zero, watermark reset by the snapshot) while a
+/// request acquires and releases that container lock-free. The acquire
+/// must be either seen by the park (which then refuses) or woken by it.
+fn park_race(split: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let s = Arc::new(ModelSlots::new(1));
+        s.publish_avail(C1, true).expect("free slot");
+        let s2 = Arc::clone(&s);
+        let request = spawn(move || {
+            let (i, c, _) = s2.claim_warm().expect("the idle container is available");
+            assert!(s2.try_claim_release(i, c));
+            s2.hand_back(i, c);
+        });
+        let parked = if split { s.park_split() } else { s.park() };
+        request.join();
+        assert_eq!(s.in_use_total(), 0, "in-use count lost an update");
+        assert!(
+            !parked || s.is_woken(),
+            "acquire lost: the key parked and nothing woke it"
+        );
+    }
+}
+
+#[test]
+fn split_park_mutation_is_caught() {
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(park_race(true));
+    let v = report
+        .violation
+        .expect("a load-then-store park must lose an acquire in some schedule");
+    assert!(
+        v.message.contains("acquire lost") || v.message.contains("lost an update"),
+        "{}",
+        v.message
+    );
+}
+
+#[test]
+fn park_cas_survives_the_same_race() {
+    // Control arm: the real park must exhaust the tree clean.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(park_race(false));
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.complete, "tree exhausted within budget");
 }

@@ -35,6 +35,11 @@ use crate::Predictor;
 use std::collections::{BTreeMap, VecDeque};
 use stdshim::{JsonValue, ToJson};
 
+/// The most zero observations [`EsMarkov::zero_run_bound`] vouches for at
+/// once. A constant, not a tuning knob: it only bounds the bound's scalar
+/// loop and how long a caller may skip a quiet series between checks.
+pub const ZERO_RUN_CAP: u64 = 64;
+
 /// Maps an `f64` to a `u64` whose unsigned order matches IEEE-754 total
 /// order, so a `BTreeMap` keyed on it acts as an ordered multiset of raw
 /// samples (min/max in O(log n), exact under duplicate values).
@@ -144,6 +149,42 @@ impl EsMarkov {
     fn rebuild_chain(&mut self) {
         let (head, tail) = self.window.as_slices();
         self.chain.refit(head, tail, self.regions);
+    }
+
+    /// How many more zero observations provably keep [`Predictor::predict`]
+    /// in `(0, 1]`, capped at [`ZERO_RUN_CAP`]; 0 when that cannot be
+    /// proven. A caller sizing a pool by `ceil(predict())` may skip that
+    /// many zero-demand steps of a series sized to one container: each
+    /// would size it to exactly one.
+    ///
+    /// Proof. Under a zero observation a seeded smoother moves
+    /// `e ← fl(α·0 + (1−α)·e) = fl((1−α)·e)`, which is non-increasing and
+    /// stays positive until it underflows; the loop below runs that exact
+    /// arithmetic ([`ExponentialSmoothing::next_smoothed`]). Once a zero is
+    /// in a window whose values all lie in `[0, 1]`, the partition spans
+    /// `[0, hi]` with `hi ≤ 1` (or the widened `[0, 1]` when every value
+    /// is 0), so every region bound lies in `[0, 1]` and a region's upper
+    /// bound is positive. Zeros keep the window inside `[0, 1]`. Every
+    /// branch of `predict` then returns either the trend or
+    /// `clamp(trend, lo, hi)` with `0 ≤ lo < hi ≤ 1`, both in `(0, 1]`
+    /// while the trend is.
+    pub fn zero_run_bound(&self) -> u64 {
+        let (Some(mut trend), Some((lo, hi))) = (self.es.smoothed(), self.span) else {
+            return 0;
+        };
+        // Also rejects a NaN sample, which the total order puts at an end.
+        if !(lo >= 0.0 && hi <= 1.0) {
+            return 0;
+        }
+        let mut runs = 0;
+        while runs < ZERO_RUN_CAP {
+            trend = self.es.next_smoothed(trend, 0.0);
+            if !(trend > 0.0 && trend <= 1.0) {
+                break;
+            }
+            runs += 1;
+        }
+        runs
     }
 
     /// Exact `(min, max)` of the windowed values via the ordered multiset.
@@ -420,6 +461,57 @@ mod tests {
                 assert_eq!(p.chain().observations(), batch.observations());
             }
         });
+    }
+
+    /// The bound is sound: after each of up to `bound` more zeros the
+    /// prediction stays in `(0, 1]`, across seeding strategies, window
+    /// sizes, and histories that reach the bound's preconditions or miss
+    /// them.
+    #[test]
+    fn prop_zero_run_bound_keeps_prediction_in_unit_interval() {
+        testkit::check(96, |g| {
+            let alpha = g.f64_in(0.05..0.95);
+            let init = if g.bool() {
+                InitialValue::FirstObservation
+            } else {
+                InitialValue::MeanOfFirst5
+            };
+            let mut p = EsMarkov::with_params(alpha, init, g.usize_in(1..8), g.usize_in(2..40));
+            for _ in 0..g.usize_in(0..60) {
+                let value = match g.u8_in(0..4) {
+                    0 => g.f64_in(0.0..3.0),
+                    1 => 1.0,
+                    _ => 0.0,
+                };
+                p.observe(value);
+                let bound = p.zero_run_bound();
+                assert!(bound <= ZERO_RUN_CAP);
+                let mut ahead = p.clone();
+                for run in 1..=bound {
+                    ahead.observe(0.0);
+                    let next = ahead.predict();
+                    assert!(
+                        next > 0.0 && next <= 1.0,
+                        "zero {run} of {bound}: predict {next} left (0, 1]"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn zero_run_bound_needs_a_seeded_unit_window() {
+        let mut p = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 6, 16);
+        p.observe(1.0);
+        assert_eq!(p.zero_run_bound(), 0, "an unseeded smoother proves nothing");
+        for _ in 0..4 {
+            p.observe(0.0);
+        }
+        // Seeded at 0.2 with every sample in [0, 1]: α = 0.8 takes far
+        // longer than the cap to underflow.
+        assert_eq!(p.zero_run_bound(), ZERO_RUN_CAP);
+        p.observe(2.0);
+        assert_eq!(p.zero_run_bound(), 0, "a sample above 1 is in the window");
     }
 
     /// Saturated-window regression: a long constant tail after a level shift

@@ -33,7 +33,7 @@ pub mod markov;
 pub mod smoothing;
 
 pub use baseline::{FixedValue, HistogramPredictor, LastValue, MovingAverage};
-pub use combined::EsMarkov;
+pub use combined::{EsMarkov, ZERO_RUN_CAP};
 pub use error::{mae, mape, max_relative_error, rmse};
 pub use holt::Holt;
 pub use markov::{MarkovChain, RegionPartition};

@@ -75,6 +75,13 @@ impl ExponentialSmoothing {
     pub fn smoothed(&self) -> Option<f64> {
         self.smoothed
     }
+
+    /// One Eq. 1 update of a seeded value: the exact arithmetic
+    /// [`Predictor::observe`] applies, so callers can run the recurrence
+    /// ahead without observing.
+    pub fn next_smoothed(&self, prev: f64, value: f64) -> f64 {
+        self.alpha * value + (1.0 - self.alpha) * prev
+    }
 }
 
 impl Predictor for ExponentialSmoothing {
@@ -82,7 +89,7 @@ impl Predictor for ExponentialSmoothing {
         self.observations += 1;
         match (self.smoothed, self.init) {
             (Some(prev), _) => {
-                self.smoothed = Some(self.alpha * value + (1.0 - self.alpha) * prev);
+                self.smoothed = Some(self.next_smoothed(prev, value));
             }
             (None, InitialValue::FirstObservation) => {
                 self.smoothed = Some(value);
