@@ -3,7 +3,7 @@
 
 use containersim::{ContainerEngine, HardwareProfile};
 use faas::policy::{ColdStartAlways, FixedKeepAlive};
-use faas::{AppProfile, Gateway};
+use faas::{AppProfile, Gateway, RuntimeProvider};
 use hotc::HotC;
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
@@ -86,10 +86,51 @@ fn bench_tick_with_large_pool(h: &mut Harness) {
     );
 }
 
+fn bench_request_under_eviction(h: &mut Harness) {
+    // The pool sits at its 500-container cap and every request is for a
+    // runtime type that was evicted long ago: each iteration is one cold
+    // begin, the forced oldest-first eviction it triggers, and a finish —
+    // the per-request cost of a gateway serving churn at the cap.
+    const CAP: u64 = 500;
+    const KEYS: u64 = 2 * CAP;
+    let mut gw = hotc_gateway();
+    let names: Vec<String> = (0..KEYS).map(|i| format!("fn-{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        let app = AppProfile::random_number();
+        let mut config = app.default_config();
+        config.exec.env.insert("T".into(), i.to_string());
+        gw.register(
+            faas::FunctionSpec::from_app(app)
+                .named(name.clone())
+                .with_config(config),
+        );
+    }
+    let mut now = SimTime::ZERO;
+    let mut i = 0usize;
+    let mut request = move |gw: &mut Gateway<HotC>| {
+        now += SimDuration::from_secs(1);
+        i = (i + 1) % names.len();
+        gw.handle(&names[i], now).unwrap()
+    };
+    // One pass over every key fills the pool to the cap and pays each
+    // function's one-time costs (key interning, its `fn/` stage set) outside
+    // the timed loop; then check that a request at the cap is cold and
+    // evicts.
+    for _ in 0..KEYS {
+        request(&mut gw);
+    }
+    let evicted = gw.provider().forced_evictions();
+    assert!(request(&mut gw).cold);
+    assert_eq!(gw.provider().forced_evictions(), evicted + 1);
+    assert_eq!(gw.engine().live_count() as u64, CAP);
+    h.bench("request_under_eviction/500_cap", || request(&mut gw));
+}
+
 fn main() {
     let mut h = Harness::new("pipeline");
     bench_warm_request(&mut h);
     bench_cold_request(&mut h);
     bench_tick_with_large_pool(&mut h);
+    bench_request_under_eviction(&mut h);
     h.finish();
 }

@@ -110,13 +110,15 @@ where
     });
 
     // Provider maintenance ticks, scheduled FIRST so that at equal
-    // timestamps the tick precedes the arrivals (FIFO tie-break).
+    // timestamps the tick precedes the arrivals (FIFO tie-break). The
+    // horizon saturates at `SimTime::MAX`; ticking ends there or when the
+    // next tick would overflow the clock.
     let horizon = workload
         .last()
         .map(|a| a.at + tick_interval * 2)
         .unwrap_or(SimTime::ZERO);
-    let mut t = SimTime::ZERO;
-    while t <= horizon {
+    let mut next = Some(SimTime::ZERO);
+    while let Some(t) = next.filter(|&t| t <= horizon) {
         sim.schedule_at(t, move |s, st: &mut DriverState<P>| {
             st.gateway.tick(s.now()).expect("tick must not fail");
             let live = st.gateway.engine().live_count();
@@ -125,7 +127,7 @@ where
                 .sample_series("pool/live", s.now(), live as f64);
             st.live_samples.push((s.now(), live));
         });
-        t += tick_interval;
+        next = t.checked_add(tick_interval);
     }
 
     for (idx, arrival) in workload.iter().enumerate() {
@@ -402,19 +404,26 @@ where
                     .metrics()
                     .sample_series("pool/live", now, live as f64);
                 live_samples.push((now, live));
-                next_tick += tick_interval;
-                if arrival_at.is_none() {
-                    // Stream exhausted: the horizon is now known, exactly as
-                    // the materialized driver computed it up front. (While
-                    // arrivals remain, every tick fired so far is <= the
-                    // final horizon by construction.) An empty underlying
-                    // stream has no basis: the single t=0 tick is the run.
-                    let horizon = source
-                        .horizon_basis()
-                        .map(|last| last + tick_interval * 2)
-                        .unwrap_or(SimTime::ZERO);
-                    if next_tick > horizon {
-                        ticks_done = true;
+                // A tick past the end of the clock never comes. Without the
+                // check, `next_tick` would saturate at a saturated horizon
+                // and the loop would tick forever.
+                match now.checked_add(tick_interval) {
+                    None => ticks_done = true,
+                    Some(after) => {
+                        next_tick = after;
+                        if arrival_at.is_none() {
+                            // Stream exhausted: the horizon is now known,
+                            // exactly as the materialized driver computed it
+                            // up front. (While arrivals remain, every tick
+                            // fired so far is <= the final horizon by
+                            // construction.) An empty underlying stream has
+                            // no basis: the single t=0 tick is the run.
+                            let horizon = source
+                                .horizon_basis()
+                                .map(|last| last + tick_interval * 2)
+                                .unwrap_or(SimTime::ZERO);
+                            ticks_done = next_tick > horizon;
+                        }
                     }
                 }
             }
@@ -599,6 +608,33 @@ mod tests {
             ColdStartAlways::new,
             patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0),
         );
+    }
+
+    /// Regression (tick hang): with a tick so large that the next tick and
+    /// the horizon both saturate at `SimTime::MAX`, both drivers used to
+    /// tick forever. Ticking now ends where the clock does.
+    #[test]
+    fn tick_near_the_end_of_the_clock_terminates() {
+        let workload = patterns::serial(SimDuration::from_secs(30), 3, 0);
+        let tick = SimDuration::from_secs(10_000_000_000);
+        let ticks = vec![SimTime::ZERO, SimTime::ZERO + tick];
+        let route = |_| "random-number".to_string();
+        let materialized = run_workload(gateway(HotC::with_defaults()), &workload, route, tick);
+        assert_eq!(materialized.traces.len(), 3);
+        let at: Vec<SimTime> = materialized.live_samples.iter().map(|&(t, _)| t).collect();
+        assert_eq!(at, ticks);
+
+        let mut source = workloads::trace::VecTrace::new(workload);
+        let streamed = run_trace(
+            gateway(HotC::with_defaults()),
+            &mut source,
+            route,
+            tick,
+            |_, _| {},
+        );
+        assert_eq!(streamed.requests, 3);
+        assert_eq!(streamed.live_samples, materialized.live_samples);
+        assert_eq!(streamed.finished_at, materialized.finished_at);
     }
 
     #[test]

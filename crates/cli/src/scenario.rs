@@ -322,8 +322,19 @@ pub fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ParseError> {
         "m" => value * 60e9,
         other => return err(line, format!("unknown duration unit '{other}'")),
     };
+    // `as u64` would saturate silently; the clock's range is the limit.
+    if nanos >= u64::MAX as f64 {
+        return err(line, format!("duration '{s}' exceeds the clock's range"));
+    }
     Ok(SimDuration::from_nanos(nanos as u64))
 }
+
+/// A real-valued workload key's domain, and how an error names it.
+type Domain = (fn(f64) -> bool, &'static str);
+const POSITIVE: Domain = (|v| v > 0.0 && v.is_finite(), "positive and finite");
+const NON_NEGATIVE: Domain = (|v| v >= 0.0 && v.is_finite(), "finite and at least 0");
+const AT_LEAST_ONE: Domain = (|v| v >= 1.0 && v.is_finite(), "finite and at least 1");
+const UNIT: Domain = (|v| (0.0..=1.0).contains(&v), "in [0, 1]");
 
 fn parse_lang(s: &str, line: usize) -> Result<LanguageRuntime, ParseError> {
     Ok(match s {
@@ -621,6 +632,16 @@ impl Scenario {
         // The synthesizer draws keys over a nonzero span: reject the values
         // it cannot build from here, with their line, instead of at run time.
         let line_of = |key: &str| get(key).map_or(pattern_line, |(_, l)| l);
+        // Shape parameters outside their domain build a silently wrong trace
+        // (a NaN Zipf exponent sends every arrival to key 0): reject them too.
+        let get_f64_in = |key: &str, default: f64, (ok, domain): Domain| {
+            let v = get_f64(key, default)?;
+            if ok(v) {
+                Ok(v)
+            } else {
+                err(line_of(key), format!("{key} must be {domain}"))
+            }
+        };
         let synth_defaults =
             |kv_peak: f64| -> Result<(u64, usize, SimDuration, f64, f64), ParseError> {
                 let keys = get_usize("keys", 100)?;
@@ -635,8 +656,8 @@ impl Scenario {
                     get_u64("requests", 100_000)?,
                     keys,
                     duration,
-                    get_f64("zipf", 1.1)?,
-                    get_f64("peak", kv_peak)?,
+                    get_f64_in("zipf", 1.1, NON_NEGATIVE)?,
+                    get_f64_in("peak", kv_peak, AT_LEAST_ONE)?,
                 ))
             };
 
@@ -684,17 +705,11 @@ impl Scenario {
                     round: get_duration("round", round_default)?,
                 }
             }
-            "poisson" => {
-                let rate = get_f64("rate", 2.0)?;
-                if !(rate > 0.0 && rate.is_finite()) {
-                    return err(line_of("rate"), "rate must be positive and finite");
-                }
-                WorkloadSpec::Poisson {
-                    rate,
-                    duration: get_duration("duration", SimDuration::from_secs(600))?,
-                    zipf: get_f64("zipf", 1.1)?,
-                }
-            }
+            "poisson" => WorkloadSpec::Poisson {
+                rate: get_f64_in("rate", 2.0, POSITIVE)?,
+                duration: get_duration("duration", SimDuration::from_secs(600))?,
+                zipf: get_f64_in("zipf", 1.1, NON_NEGATIVE)?,
+            },
             "youtube" => {
                 let length = get_usize("length", 288)?;
                 if length == 0 {
@@ -741,9 +756,9 @@ impl Scenario {
                     duration,
                     zipf,
                     peak,
-                    at: get_f64("at", 0.5)?,
-                    width: get_f64("width", 0.05)?,
-                    magnitude: get_f64("magnitude", 10.0)?,
+                    at: get_f64_in("at", 0.5, UNIT)?,
+                    width: get_f64_in("width", 0.05, POSITIVE)?,
+                    magnitude: get_f64_in("magnitude", 10.0, NON_NEGATIVE)?,
                 }
             }
             "deploy-waves" => {
@@ -1058,6 +1073,102 @@ pattern = serial
         let text = format!("seed = 1\ntick = 0s\n\n{base}pattern = serial\n");
         let e = Scenario::parse(&text).unwrap_err();
         assert_eq!((e.line, e.message.as_str()), (2, "tick must be positive"));
+    }
+
+    /// Regression: a NaN `zipf` made every Zipf weight NaN, so every arrival
+    /// went to key 0 with no error; `peak` below 1 was clamped silently.
+    #[test]
+    fn zipf_out_of_domain_is_a_located_parse_error() {
+        let base = "[function f]\napp = random-number\n\n[workload]\n";
+        let want = "zipf must be finite and at least 0";
+        for pattern in [
+            "poisson",
+            "synth",
+            "flash-crowd",
+            "deploy-waves",
+            "multi-tenant",
+        ] {
+            for value in ["NaN", "inf", "-0.5"] {
+                let text = format!("{base}pattern = {pattern}\nzipf = {value}\n");
+                let e = Scenario::parse(&text).unwrap_err();
+                assert_eq!(
+                    (e.line, e.message.as_str()),
+                    (6, want),
+                    "{pattern}: {value}"
+                );
+            }
+        }
+        let ok = format!("{base}pattern = synth\nzipf = 0\n");
+        assert!(Scenario::parse(&ok).is_ok(), "zipf = 0 is uniform");
+    }
+
+    #[test]
+    fn peak_out_of_domain_is_a_located_parse_error() {
+        let base = "[function f]\napp = random-number\n\n[workload]\n";
+        for pattern in ["synth", "flash-crowd"] {
+            for value in ["NaN", "inf", "0.5"] {
+                let text = format!("{base}pattern = {pattern}\npeak = {value}\n");
+                let e = Scenario::parse(&text).unwrap_err();
+                let want = "peak must be finite and at least 1";
+                assert_eq!(
+                    (e.line, e.message.as_str()),
+                    (6, want),
+                    "{pattern}: {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flash_crowd_at_out_of_domain_is_a_located_parse_error() {
+        let base = "[function f]\napp = random-number\n\n[workload]\npattern = flash-crowd\n";
+        for value in ["NaN", "-0.1", "1.5"] {
+            let e = Scenario::parse(&format!("{base}at = {value}\n")).unwrap_err();
+            assert_eq!(
+                (e.line, e.message.as_str()),
+                (6, "at must be in [0, 1]"),
+                "{value}"
+            );
+        }
+        for value in ["0", "1"] {
+            assert!(Scenario::parse(&format!("{base}at = {value}\n")).is_ok());
+        }
+    }
+
+    #[test]
+    fn flash_crowd_width_out_of_domain_is_a_located_parse_error() {
+        let base = "[function f]\napp = random-number\n\n[workload]\npattern = flash-crowd\n";
+        for value in ["NaN", "inf", "0", "-0.1"] {
+            let e = Scenario::parse(&format!("{base}width = {value}\n")).unwrap_err();
+            let want = "width must be positive and finite";
+            assert_eq!((e.line, e.message.as_str()), (6, want), "{value}");
+        }
+    }
+
+    #[test]
+    fn flash_crowd_magnitude_out_of_domain_is_a_located_parse_error() {
+        let base = "[function f]\napp = random-number\n\n[workload]\npattern = flash-crowd\n";
+        for value in ["NaN", "inf", "-1"] {
+            let e = Scenario::parse(&format!("{base}magnitude = {value}\n")).unwrap_err();
+            let want = "magnitude must be finite and at least 0";
+            assert_eq!((e.line, e.message.as_str()), (6, want), "{value}");
+        }
+        assert!(Scenario::parse(&format!("{base}magnitude = 0\n")).is_ok());
+    }
+
+    /// Regression: a duration beyond the clock's range used to saturate
+    /// silently at `u64::MAX` ns; it is now a located error.
+    #[test]
+    fn out_of_range_duration_is_a_located_parse_error() {
+        let e = parse_duration("20000000000s", 4).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("exceeds the clock's range"), "{e}");
+        let e = Scenario::parse("seed = 1\ntick = 20000000000s\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("exceeds the clock's range"), "{e}");
+        // The largest tick that fits still parses (the driver must then end).
+        let tick = parse_duration("10000000000s", 1).unwrap();
+        assert_eq!(tick, SimDuration::from_secs(10_000_000_000));
     }
 
     #[test]

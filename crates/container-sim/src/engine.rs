@@ -161,6 +161,9 @@ struct ContainerRecord {
     // Fingerprint of `config`, cached at creation: keys this container's
     // fault-injection stream without rehashing on every exec.
     fault_key: u64,
+    // The application whose code was last loaded into this runtime (`None`
+    // until the first dispatch); dropped with the record.
+    last_app: Option<&'static str>,
 }
 
 /// Fault injection: container processes crash mid-execution with a given
@@ -334,12 +337,11 @@ impl ContainerEngine {
         let spec = self
             .registry
             .get(&config.image)
-            .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?
-            .clone();
-        let hw = self.host.hardware().clone();
+            .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?;
+        let hw = self.host.hardware();
 
-        let pull = self.store.pull_split(&spec, &hw);
-        let (volume, volume_mount) = self.volumes.create_mounted(&hw);
+        let pull = self.store.pull_split(spec, hw);
+        let (volume, volume_mount) = self.volumes.create_mounted(hw);
         let resource_alloc = hw.control(costmodel::RESOURCE_ALLOC);
         // Daemon serialization: the allocation section runs under the
         // daemon's global lock; concurrent creates queue behind it.
@@ -356,7 +358,7 @@ impl ContainerEngine {
             image_pull: pull.download,
             image_unpack: pull.unpack,
             resource_alloc,
-            network_setup: config.network.setup_cost(&hw),
+            network_setup: config.network.setup_cost(hw),
             volume_mount,
             runtime_init: hw.compute(spec.runtime.cold_init()),
             code_load: hw.control(costmodel::CODE_LOAD),
@@ -380,6 +382,7 @@ impl ContainerEngine {
                 exec_count: 0,
                 running_work: None,
                 crashing: false,
+                last_app: None,
             },
         );
         Ok((id, breakdown))
@@ -394,7 +397,7 @@ impl ContainerEngine {
         work: ExecWork,
         now: SimTime,
     ) -> Result<ExecOutcome, EngineError> {
-        let hw = self.host.hardware().clone();
+        let hw = self.host.hardware();
         let rec = self
             .containers
             .get_mut(&id)
@@ -521,7 +524,7 @@ impl ContainerEngine {
     /// Algorithm 2's container cleanup: wipe the used volume and remount a
     /// fresh one so the runtime can be reused. Returns the cleanup cost.
     pub fn cleanup(&mut self, id: ContainerId, now: SimTime) -> Result<SimDuration, EngineError> {
-        let hw = self.host.hardware().clone();
+        let hw = self.host.hardware();
         let rec = self
             .containers
             .get_mut(&id)
@@ -537,7 +540,7 @@ impl ContainerEngine {
         let volume = rec.volume;
         let cost = self
             .volumes
-            .wipe_and_remount(volume, &hw)
+            .wipe_and_remount(volume, hw)
             .map_err(|_| EngineError::Internal("live container volume missing on cleanup"))?;
         Ok(cost)
     }
@@ -550,7 +553,6 @@ impl ContainerEngine {
         id: ContainerId,
         _now: SimTime,
     ) -> Result<SimDuration, EngineError> {
-        let hw = self.host.hardware().clone();
         let rec = self
             .containers
             .get(&id)
@@ -579,7 +581,10 @@ impl ContainerEngine {
             .delete(rec.volume)
             .map_err(|_| EngineError::Internal("unmounted volume failed to delete"))?;
         self.host.remove_live_container(rec.idle_mem);
-        Ok(hw.control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE))
+        Ok(self
+            .host
+            .hardware()
+            .control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE))
     }
 
     /// Estimates the cold-start cost of a configuration *without* creating
@@ -647,10 +652,16 @@ impl ContainerEngine {
         self.containers.len()
     }
 
-    /// Ids of all live containers, in no particular order.
-    pub fn live_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        // lint:allow(map-iteration, unordered by contract; callers collect into a set)
-        self.containers.keys().copied()
+    /// Records `app` as the application loaded into a live container's
+    /// runtime, returning the one it replaces (`None` on the first dispatch,
+    /// or when the container is unknown). HotC pools runtimes, so a reused
+    /// container whose previous app differs must load the new app's code
+    /// again (§IV). The record goes with the container, so the state never
+    /// outlives it.
+    pub fn swap_last_app(&mut self, id: ContainerId, app: &'static str) -> Option<&'static str> {
+        self.containers
+            .get_mut(&id)
+            .and_then(|r| r.last_app.replace(app))
     }
 }
 
@@ -854,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn live_ids_track_creation_and_removal() {
+    fn created_at_tracks_creation_and_removal() {
         let mut e = engine();
         let (a, _) = e
             .create_container(cfg("alpine:3.12"), SimTime::from_secs(1))
@@ -863,8 +874,25 @@ mod tests {
             .create_container(cfg("alpine:3.12"), SimTime::from_secs(3))
             .unwrap();
         e.stop_and_remove(a, SimTime::from_secs(4)).unwrap();
-        assert_eq!(e.live_ids().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(e.created_at(a), None);
         assert_eq!(e.created_at(b), Some(SimTime::from_secs(3)));
+        assert_eq!(e.live_count(), 1);
+    }
+
+    /// The last-loaded app is per-container state: a switch is reported, a
+    /// repeat is not, and removal drops it with the record.
+    #[test]
+    fn last_app_detects_switches_and_goes_with_the_container() {
+        let mut e = engine();
+        let (id, _) = e
+            .create_container(cfg("alpine:3.12"), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(e.swap_last_app(id, "alpha"), None, "fresh runtime");
+        assert_eq!(e.swap_last_app(id, "alpha"), Some("alpha"), "same app");
+        assert_eq!(e.swap_last_app(id, "beta"), Some("alpha"), "app switch");
+        e.stop_and_remove(id, SimTime::from_secs(1)).unwrap();
+        assert_eq!(e.swap_last_app(id, "beta"), None, "state gone with it");
+        assert_eq!(e.live_count(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`ConcurrentGateway`] — the global-lock baseline: wraps a
 //!   [`faas::Gateway`] in one [`stdshim::sync::Mutex`] and splits each
 //!   request into `begin`/`finish` phases so the lock is **not** held across
-//!   a request's virtual execution. All pool, engine, stats, and tracker
+//!   a request's virtual execution. All pool, engine, and stats
 //!   bookkeeping still serializes on that one lock.
 //! * [`ShardedGateway`] — the scalable frontend: the runtime pool is a
 //!   [`ShardedPool`] (per-shard locks), request counters are atomics
@@ -27,15 +27,14 @@ use crate::controller::AdaptiveController;
 use crate::limits::PoolLimits;
 use crate::middleware::HotCConfig;
 use crate::shard::{EngineRef, ShardedPool};
-use containersim::{ContainerEngine, ContainerId};
+use containersim::ContainerEngine;
 use faas::gateway::{Gateway, GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
-use faas::AppTracker;
 use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
 use metrics_lite::{Counter, MetricsRegistry, StageSet};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stdshim::sync::{Mutex, RwLock};
@@ -106,8 +105,8 @@ struct FunctionEntry {
     stage_fn: Arc<StageSet>,
     /// The function's application, as a dense nonzero token from the
     /// gateway's registration-time app registry. The warm path compares this
-    /// `u64` against the pool slot's atomic last-app word instead of taking
-    /// a tracker lock to compare name strings.
+    /// `u64` against the pool slot's atomic last-app word instead of
+    /// comparing name strings under a lock.
     app_token: u64,
 }
 
@@ -120,60 +119,20 @@ pub struct FunctionHandle {
     entry: Arc<FunctionEntry>,
 }
 
-/// Last-app tracking sharded by container id, so the per-request app-switch
-/// check does not reserialize the warm path on one tracker mutex.
-struct ShardedTracker {
-    shards: Box<[Mutex<AppTracker>]>,
-}
-
-impl ShardedTracker {
-    fn new(shards: usize) -> Self {
-        ShardedTracker {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::labeled(AppTracker::new(), "gateway/tracker"))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, container: ContainerId) -> &Mutex<AppTracker> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        std::hash::Hash::hash(&container, &mut hasher);
-        &self.shards[(std::hash::Hasher::finish(&hasher) % self.shards.len() as u64) as usize]
-    }
-
-    fn needs_app_init(&self, container: ContainerId, app: &'static str, first_exec: bool) -> bool {
-        self.shard(container)
-            .lock()
-            .needs_app_init(container, app, first_exec)
-    }
-
-    fn tracked(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().tracked()).sum()
-    }
-
-    fn prune_to(&self, live: &HashSet<ContainerId>) {
-        for shard in self.shards.iter() {
-            shard.lock().prune_to(live);
-        }
-    }
-}
-
 /// The sharded HotC gateway: per-shard pool locks, atomic stats, a
-/// read-mostly function table with registration-time runtime keys, sharded
-/// last-app tracking, and a single engine mutex standing in for the
-/// container daemon.
+/// read-mostly function table with registration-time runtime keys, and a
+/// single engine mutex standing in for the container daemon. Each pool slot
+/// keeps its container's last app in an atomic word; a container beyond the
+/// slot array keeps it on its engine record.
 ///
 /// Lock order (see DESIGN.md): a thread holds at most one of
-/// {function table, tracker shard, pool shard, engine} at a time on the request
+/// {function table, pool shard, engine} at a time on the request
 /// path; the controller mutex (tick only) may span shard/engine acquisitions
 /// but is never taken while holding any other lock.
 pub struct ShardedGateway {
     engine: Mutex<ContainerEngine>,
     functions: RwLock<HashMap<String, Arc<FunctionEntry>>>,
     stats: SharedStats,
-    /// Last-app fallback for overflow containers (no bitmap slot). Bitmap
-    /// containers — the steady state — use the pool's atomic last-app words.
-    tracker: ShardedTracker,
     /// Registration-time app-name → token registry (see
     /// [`FunctionEntry::app_token`]). Locked only while registering.
     app_tokens: Mutex<Vec<&'static str>>,
@@ -216,7 +175,6 @@ impl ShardedGateway {
             engine: Mutex::labeled(engine, "core/engine"),
             functions: RwLock::labeled(HashMap::new(), "gateway/functions"),
             stats: SharedStats::new(),
-            tracker: ShardedTracker::new(config.shards),
             app_tokens: Mutex::labeled(Vec::new(), "gateway/app-tokens"),
             pool: ShardedPool::with_shards(config.key_policy, config.shards),
             controller: Mutex::labeled(
@@ -333,11 +291,6 @@ impl ShardedGateway {
             .fetch_add(cost.as_nanos(), Ordering::Relaxed);
     }
 
-    /// Number of containers with a tracked last-app entry.
-    pub fn tracked_containers(&self) -> usize {
-        self.tracker.tracked()
-    }
-
     /// Runs a closure with the locked engine (setup, inspection).
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut ContainerEngine) -> R) -> R {
         f(&mut self.engine.lock())
@@ -382,25 +335,16 @@ impl ShardedGateway {
         // the registration-time interned id, so a warm hit is a bitmap CAS —
         // no shard lock, no engine lock, no key hashing. The app-switch
         // check then swaps the slot's atomic last-app word; only overflow
-        // containers (beyond the per-key slot array) fall back to the
-        // tracker mutex.
+        // containers (beyond the per-key slot array) swap the last app on
+        // their engine record, inside the `begin_exec` critical section.
         let warm_scope = stdshim::request_path_scope();
         let acq = self
             .pool
             .acquire_id(&self.engine, entry.key_id, &entry.spec.config, t2)?;
         let first_exec = acq.first_exec;
-        // App init is due on a fresh runtime AND when the pooled runtime
-        // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = acq
+        let prev_token = acq
             .slot
-            .and_then(|slot| self.pool.note_app(entry.key_id, slot, entry.app_token))
-            .map_or_else(
-                || {
-                    self.tracker
-                        .needs_app_init(acq.container, entry.spec.app.name, first_exec)
-                },
-                |prev| first_exec || prev != entry.app_token,
-            );
+            .and_then(|slot| self.pool.note_app(entry.key_id, slot, entry.app_token));
         debug_assert!(
             !acq.lock_free || warm_scope.locks_taken() == 0,
             "warm gateway hit took a lock before begin_exec"
@@ -411,12 +355,18 @@ impl ShardedGateway {
             let cost = self.limits.enforce_sharded(&self.pool, &self.engine, t2)?;
             self.add_background(cost);
         }
-        let work = entry.spec.app.work_for(needs_app_init);
         // Function initiation: watchdog shim + obtaining the runtime.
         let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        let outcome = self
-            .engine
-            .with_engine(|e| e.begin_exec(acq.container, work, t3))?;
+        let app = &entry.spec.app;
+        let outcome = self.engine.with_engine(|e| {
+            // App init is due on a fresh runtime AND when the pooled runtime
+            // last ran a different app (fuzzy keys / shared runtime types).
+            let switched = match prev_token {
+                Some(prev) => prev != entry.app_token,
+                None => e.swap_last_app(acq.container, app.name) != Some(app.name),
+            };
+            e.begin_exec(acq.container, app.work_for(first_exec || switched), t3)
+        })?;
         let t4 = t3 + outcome.latency;
         Ok(InFlight {
             function: entry.spec.name.clone(),
@@ -436,8 +386,8 @@ impl ShardedGateway {
     }
 
     /// Completes an in-flight request at its `t4`: end the execution, return
-    /// the container to the pool (a crashed one is disposed of), bump the
-    /// atomic counters, and prune app-tracking entries that just went stale.
+    /// the container to the pool (a crashed one is disposed of), and bump the
+    /// atomic counters.
     pub fn finish(&self, inflight: InFlight) -> Result<RequestTrace, GatewayError> {
         let entry = self.functions.read().get(&inflight.function).cloned();
         self.finish_entry(entry.as_ref(), inflight)
@@ -491,12 +441,6 @@ impl ShardedGateway {
         };
         self.add_background(cost);
         self.stats.record(inflight.cold);
-        if inflight.crashed {
-            // The crashed container was just disposed of, so its tracker
-            // entry is stale right now; containers disposed of by eviction
-            // are pruned by the next `tick`.
-            self.prune_tracker();
-        }
         let trace = inflight.complete();
         // Always-on stage telemetry: ONE cache-padded stripe lock per
         // request, through the registration-time handle (no name lookup).
@@ -538,7 +482,7 @@ impl ShardedGateway {
     }
 
     /// Periodic maintenance: one adaptive-controller step (per shard), limit
-    /// enforcement, tracker pruning — plus sampling the controller/pool
+    /// enforcement — plus sampling the controller/pool
     /// gauges and time series into the metrics registry.
     pub fn tick(&self, now: SimTime) -> Result<(), GatewayError> {
         if !self.disable_prediction {
@@ -589,22 +533,7 @@ impl ShardedGateway {
         self.metrics
             .sample_series("pool/live", now, (avail + in_use) as f64);
         self.sync_counters();
-        self.prune_tracker();
         Ok(())
-    }
-
-    /// Drops last-app entries for containers that no longer exist. Cheap
-    /// guard first; on a real prune the live-id set is snapshotted under the
-    /// engine lock and applied under the tracker lock — the two locks are
-    /// never held together.
-    fn prune_tracker(&self) {
-        let tracked = self.tracker.tracked();
-        let live = self.engine.with_engine(|e| e.live_count());
-        if tracked > live {
-            let live_ids: HashSet<ContainerId> =
-                self.engine.with_engine(|e| e.live_ids().collect());
-            self.tracker.prune_to(&live_ids);
-        }
     }
 }
 
@@ -812,8 +741,6 @@ mod tests {
         let live = gw.with_engine(|e| e.live_count());
         assert!(live <= 8, "live={live}");
         assert_eq!(gw.pool().total_live(), live);
-        // No request in flight ⇒ every tracked container is live.
-        assert!(gw.tracked_containers() <= live);
     }
 
     #[test]

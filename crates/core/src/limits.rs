@@ -167,8 +167,10 @@ mod tests {
         assert_eq!(pool.total_live(), 3);
         assert!(!limits.violated(&pool, &e));
         // The newest three survive (oldest evicted first).
-        let mut born: Vec<SimTime> = e.live_ids().filter_map(|c| e.created_at(c)).collect();
-        born.sort_unstable();
+        // Ids are handed out in creation order: 1..=6 were born at 0..=5 s.
+        let born: Vec<SimTime> = (1..=6)
+            .filter_map(|n| e.created_at(containersim::ContainerId(n)))
+            .collect();
         assert_eq!(born, [3, 4, 5].map(SimTime::from_secs));
     }
 

@@ -203,8 +203,8 @@ struct KeySlots {
     /// Set = handed out (Existing-Not-Available). The bit is the ownership
     /// token: a release must claim it, so double releases are rejected.
     in_use: SlotBitmap,
-    /// Last application token executed per slot (0 = unknown/fresh); the
-    /// gateway's lock-free replacement for its per-container app tracker.
+    /// Last application token executed per slot (0 = unknown/fresh): the
+    /// gateway's lock-free app-switch check.
     last_app: Box<[AtomicU64]>,
     /// Two counters and a flag in one word. Low 31 bits ([`IN_USE_MASK`]):
     /// in-use containers of this key, bitmap + overflow, including releases
@@ -1445,7 +1445,8 @@ impl ShardedPool {
     /// Records the application token last executed in a bitmap slot,
     /// returning the previous token (0 = fresh or unknown). The caller must
     /// own the slot via a live acquisition. `None` when the key is beyond
-    /// the lock-free table — the gateway falls back to its hash tracker.
+    /// the lock-free table — the gateway then keeps the app on the
+    /// container's engine record.
     pub fn note_app(&self, id: KeyId, slot: usize, token: u64) -> Option<u64> {
         if slot >= SLOTS_PER_KEY {
             return None;

@@ -10,11 +10,12 @@
 //! concurrent frontend can give each its own synchronization instead of one
 //! lock over everything:
 //! * [`Registry`] — the function table (read-mostly);
-//! * [`SharedStats`] — request counters on atomics (lock-free);
-//! * [`AppTracker`] — which app last ran in each container (small mutex).
+//! * [`SharedStats`] — request counters on atomics (lock-free).
 //!
-//! [`Gateway`] composes the three with exclusive engine access for
-//! single-threaded drivers.
+//! Which app last ran in each container is the container's own engine state
+//! ([`ContainerEngine::swap_last_app`]), so it is created and dropped with
+//! the container. [`Gateway`] composes the pieces with exclusive engine
+//! access for single-threaded drivers.
 //!
 //! Two driving styles:
 //! * [`Gateway::handle`] — begin+finish in one call, for workloads whose
@@ -153,56 +154,6 @@ impl SharedStats {
     }
 }
 
-/// Which app last executed in each container: HotC pools *runtimes*, so a
-/// reused container serving a different app must re-pay that app's
-/// initialization ("we load user code into that candidate container").
-///
-/// Entries are pruned when the provider disposes of containers
-/// ([`AppTracker::prune`]) — without that, every container ever created
-/// stays tracked forever and a long-running gateway leaks memory.
-#[derive(Debug, Default)]
-pub struct AppTracker {
-    last_app: HashMap<ContainerId, &'static str>,
-}
-
-impl AppTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        AppTracker::default()
-    }
-
-    /// Whether dispatching `app` to `container` must pay app initialization
-    /// (fresh runtime, or the runtime last ran a different app), recording
-    /// the dispatch.
-    pub fn needs_app_init(
-        &mut self,
-        container: ContainerId,
-        app: &'static str,
-        first_exec: bool,
-    ) -> bool {
-        let needs = first_exec || self.last_app.get(&container) != Some(&app);
-        self.last_app.insert(container, app);
-        needs
-    }
-
-    /// Drops entries for containers the engine no longer knows (retired,
-    /// evicted, or crashed-and-removed).
-    pub fn prune(&mut self, engine: &ContainerEngine) {
-        self.last_app.retain(|&id, _| engine.config(id).is_some());
-    }
-
-    /// Drops entries for containers outside the given live set — for callers
-    /// that snapshot the engine's live ids rather than holding the engine.
-    pub fn prune_to(&mut self, live: &std::collections::HashSet<ContainerId>) {
-        self.last_app.retain(|id, _| live.contains(id));
-    }
-
-    /// Number of containers currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.last_app.len()
-    }
-}
-
 /// Gateway errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GatewayError {
@@ -329,7 +280,6 @@ pub struct Gateway<P: RuntimeProvider> {
     provider: P,
     functions: Registry,
     stats: SharedStats,
-    tracker: AppTracker,
     metrics: Arc<MetricsRegistry>,
     /// Each function's `fn/` stage set, resolved on its first finished
     /// request so `finish` neither formats the scope name nor takes the
@@ -360,7 +310,6 @@ impl<P: RuntimeProvider> Gateway<P> {
             provider,
             functions: Registry::new(),
             stats: SharedStats::new(),
-            tracker: AppTracker::new(),
             metrics,
             fn_stages: HashMap::new(),
         }
@@ -425,26 +374,9 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.stats.snapshot()
     }
 
-    /// Number of containers with a tracked last-app entry (bounded by the
-    /// engine's live count thanks to pruning).
-    pub fn tracked_containers(&self) -> usize {
-        self.tracker.tracked()
-    }
-
     /// Runs provider maintenance (keep-alive expiry, HotC pool control).
     pub fn tick(&mut self, now: SimTime) -> Result<(), GatewayError> {
-        self.provider.tick(&mut self.engine, now)?;
-        self.prune_tracker();
-        Ok(())
-    }
-
-    /// Drops last-app entries for containers the provider disposed of —
-    /// otherwise the map grows monotonically over a long run. Cheap guard:
-    /// only scan when the map has outgrown the live set.
-    fn prune_tracker(&mut self) {
-        if self.tracker.tracked() > self.engine.live_count() {
-            self.tracker.prune(&self.engine);
-        }
+        Ok(self.provider.tick(&mut self.engine, now)?)
     }
 
     /// Starts serving a request that arrived at the gateway at `now`.
@@ -454,9 +386,8 @@ impl<P: RuntimeProvider> Gateway<P> {
         let spec = self
             .functions
             .get(function)
-            .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?
-            .clone();
-        self.begin_with(&spec, now)
+            .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?;
+        begin_on(&mut self.engine, &mut self.provider, spec, now)
     }
 
     /// [`Self::begin`] with a caller-held spec, bypassing this gateway's
@@ -468,35 +399,7 @@ impl<P: RuntimeProvider> Gateway<P> {
         spec: &FunctionSpec,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
-        let t1 = now;
-        let t2 = t1 + GATEWAY_HOP;
-        let acq = self.provider.acquire(&mut self.engine, &spec.config, t2)?;
-        let first_exec = self.engine.exec_count(acq.container) == Some(0);
-        // App init is due on a fresh runtime AND when the pooled runtime
-        // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = self
-            .tracker
-            .needs_app_init(acq.container, spec.app.name, first_exec);
-        let work = spec.app.work_for(needs_app_init);
-        // Function initiation: watchdog shim + obtaining the runtime.
-        let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        let outcome = self.engine.begin_exec(acq.container, work, t3)?;
-        let t4 = t3 + outcome.latency;
-        Ok(InFlight {
-            function: spec.name.clone(),
-            container: acq.container,
-            t4_func_end: t4,
-            t1,
-            t2,
-            t3,
-            cold: acq.cold,
-            first_exec,
-            crashed: outcome.crashed,
-            breakdown: acq.breakdown,
-            reconfig: acq.reconfig,
-            init_latency: outcome.init_latency,
-            exec_latency: outcome.latency,
-        })
+        begin_on(&mut self.engine, &mut self.provider, spec, now)
     }
 
     /// Completes an in-flight request: the function process has stopped at
@@ -508,9 +411,6 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.provider
             .release(&mut self.engine, inflight.container, t4)?;
         self.stats.record(inflight.cold);
-        // The provider may have disposed of the container (crash) or evicted
-        // others (limits): drop stale last-app entries.
-        self.prune_tracker();
         let trace = inflight.complete();
         // One stage-set record per request: `all`, `gateway/e2e`, and the
         // counters are derived from the `fn/` scopes at snapshot time.
@@ -554,6 +454,46 @@ impl<P: RuntimeProvider> Gateway<P> {
             at = done_at;
         }
     }
+}
+
+/// The body of [`Gateway::begin`]: takes the engine and provider apart from
+/// the function table, so the spec is borrowed from the registry rather than
+/// cloned per request.
+fn begin_on<P: RuntimeProvider>(
+    engine: &mut ContainerEngine,
+    provider: &mut P,
+    spec: &FunctionSpec,
+    now: SimTime,
+) -> Result<InFlight, GatewayError> {
+    let t1 = now;
+    let t2 = t1 + GATEWAY_HOP;
+    let acq = provider.acquire(engine, &spec.config, t2)?;
+    let first_exec = engine.exec_count(acq.container) == Some(0);
+    // App init is due on a fresh runtime AND when the pooled runtime last
+    // ran a different app (fuzzy keys / shared runtime types). The swap
+    // always records this dispatch, even when `first_exec` decides alone.
+    let prev_app = engine.swap_last_app(acq.container, spec.app.name);
+    let needs_app_init = first_exec || prev_app != Some(spec.app.name);
+    let work = spec.app.work_for(needs_app_init);
+    // Function initiation: watchdog shim + obtaining the runtime.
+    let t3 = t2 + WATCHDOG_HOP + acq.cost;
+    let outcome = engine.begin_exec(acq.container, work, t3)?;
+    let t4 = t3 + outcome.latency;
+    Ok(InFlight {
+        function: spec.name.clone(),
+        container: acq.container,
+        t4_func_end: t4,
+        t1,
+        t2,
+        t3,
+        cold: acq.cold,
+        first_exec,
+        crashed: outcome.crashed,
+        breakdown: acq.breakdown,
+        reconfig: acq.reconfig,
+        init_latency: outcome.init_latency,
+        exec_latency: outcome.latency,
+    })
 }
 
 #[cfg(test)]
@@ -752,26 +692,30 @@ mod tests {
         assert_eq!(gw.engine().live_count(), 0, "expired container reclaimed");
     }
 
-    /// Regression (last-app leak): entries for containers the provider has
-    /// disposed of must be dropped — before the fix, `last_app` kept every
-    /// container ever created, growing without bound in long runs.
+    /// Regression (last-app leak): the last-app state of a container the
+    /// provider has disposed of must be gone. It once lived in a side map
+    /// that kept every container ever created; it is now part of the
+    /// engine's container record.
     #[test]
     fn disposed_containers_are_dropped_from_app_tracking() {
         let mut gw = gateway(FixedKeepAlive::new(SimDuration::from_secs(60)));
-        gw.handle("random-number", SimTime::ZERO).unwrap();
-        assert_eq!(gw.tracked_containers(), 1);
+        let inflight = gw.begin("random-number", SimTime::ZERO).unwrap();
+        let c = inflight.container;
+        gw.finish(inflight).unwrap();
+        let app = "random-number";
+        assert_eq!(gw.engine_mut().swap_last_app(c, app), Some(app));
         // Keep-alive expiry disposes of the container on tick.
         gw.tick(SimTime::from_secs(300)).unwrap();
         assert_eq!(gw.engine().live_count(), 0);
         assert_eq!(
-            gw.tracked_containers(),
-            0,
+            gw.engine_mut().swap_last_app(c, app),
+            None,
             "tracking must not outlive the container"
         );
     }
 
     /// Same leak via the crash path: a crashed container is disposed of by
-    /// the provider inside `finish`, and its entry goes with it.
+    /// the provider inside `finish`, and its last-app state goes with it.
     #[test]
     fn tracking_stays_bounded_across_crash_heavy_traffic() {
         let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
@@ -779,22 +723,19 @@ mod tests {
         let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
         gw.register_app(AppProfile::random_number());
         for i in 0..30u64 {
-            let trace = gw.handle("random-number", SimTime::from_secs(i)).unwrap();
+            let inflight = gw.begin("random-number", SimTime::from_secs(i)).unwrap();
+            let c = inflight.container;
+            let trace = gw.finish(inflight).unwrap();
             assert!(trace.failed);
+            assert_eq!(gw.engine_mut().swap_last_app(c, "random-number"), None);
         }
-        assert!(
-            gw.tracked_containers() <= gw.engine().live_count(),
-            "tracked {} > live {}",
-            gw.tracked_containers(),
-            gw.engine().live_count()
-        );
+        assert_eq!(gw.engine().live_count(), 0);
     }
 }
 
 #[cfg(test)]
 mod component_tests {
     use super::*;
-    use containersim::HardwareProfile;
 
     #[test]
     fn shared_stats_count_from_many_threads() {
@@ -870,26 +811,6 @@ mod component_tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.get("random-number"), Some(&replacement));
         assert!(reg.get("nope").is_none());
-    }
-
-    #[test]
-    fn app_tracker_detects_app_switches_and_prunes() {
-        let mut e = ContainerEngine::with_local_images(HardwareProfile::server());
-        let (id, _) = e
-            .create_container(
-                ContainerConfig::bridge(containersim::ImageId::parse("alpine:3.12")),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let mut tracker = AppTracker::new();
-        assert!(tracker.needs_app_init(id, "alpha", true), "fresh runtime");
-        assert!(!tracker.needs_app_init(id, "alpha", false), "same app");
-        assert!(tracker.needs_app_init(id, "beta", false), "app switch");
-        assert_eq!(tracker.tracked(), 1);
-
-        e.stop_and_remove(id, SimTime::from_secs(1)).unwrap();
-        tracker.prune(&e);
-        assert_eq!(tracker.tracked(), 0);
     }
 }
 

@@ -35,9 +35,7 @@ pub mod pipeline;
 pub mod policy;
 
 pub use apps::AppProfile;
-pub use gateway::{
-    AppTracker, FunctionSpec, Gateway, GatewayStats, InFlight, Registry, SharedStats,
-};
+pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight, Registry, SharedStats};
 pub use hybrid::{HybridConfig, HybridKeepAlive};
 pub use pipeline::RequestTrace;
 pub use policy::{ColdStartAlways, FixedKeepAlive, PeriodicWarmup};
